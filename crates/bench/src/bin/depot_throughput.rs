@@ -1,5 +1,5 @@
 //! The tracked bench baseline for batched depot ingest and the
-//! parallel simulation tick (`BENCH_depot.json` at the repo root).
+//! end-to-end simulation (`BENCH_depot.json` at the repo root).
 //!
 //! Four measurements:
 //!
@@ -19,11 +19,8 @@
 //!    rate at each decade — the curve the splice path cannot reach:
 //!    the oracle runs the same decades under a wall-clock budget and
 //!    records where it was abandoned.
-//! 4. **Simulation**: wall-clock for a seeded TeraGrid-scale
-//!    deployment at 1, 2 and 8 tick threads; the determinism test
-//!    guarantees all three produce identical outcomes, so this is a
-//!    pure scaling curve. The full run enforces that multi-threaded
-//!    ticks are never slower than sequential.
+//! 4. **Simulation**: best-of-reps wall-clock for a seeded
+//!    TeraGrid-scale deployment run end to end.
 //!
 //! Flags: `--smoke` shrinks every measurement to a seconds-long sanity
 //! pass (CI gate); `--rope-gate` runs only the rope-vs-splice probe
@@ -42,11 +39,6 @@ use inca_server::{RopeCache, XmlCache};
 /// `--rope-gate`).
 const ROPE_SPEEDUP_FLOOR: f64 = 10.0;
 
-/// Noise allowance for the sim scaling gate: the anti-scaling bug this
-/// guards against cost ~30% (8 threads 0.388s vs 1 thread 0.304s);
-/// best-of-reps wall clocks on ~0.25s runs still jitter a few percent.
-const SIM_SCALING_TOLERANCE: f64 = 1.10;
-
 struct Config {
     smoke: bool,
     rope_gate_only: bool,
@@ -61,7 +53,6 @@ struct Config {
     million_decades: Vec<usize>,
     splice_budget: Duration,
     sim_horizon_secs: u64,
-    sim_threads: Vec<usize>,
 }
 
 fn parse_args() -> Config {
@@ -101,7 +92,6 @@ fn parse_args() -> Config {
             million_decades: vec![10, 100, 1_000, 10_000],
             splice_budget: Duration::from_secs(2),
             sim_horizon_secs: 1_200,
-            sim_threads: vec![1, 2],
         }
     } else {
         Config {
@@ -118,7 +108,6 @@ fn parse_args() -> Config {
             million_decades: vec![10, 100, 1_000, 10_000, 100_000, 1_000_000],
             splice_budget: Duration::from_secs(15),
             sim_horizon_secs: 7_200,
-            sim_threads: vec![1, 2, 8],
         }
     }
 }
@@ -336,33 +325,24 @@ fn bench_million(cfg: &Config) -> MillionResult {
     }
 }
 
-fn bench_simulation(cfg: &Config) -> Vec<(usize, Duration)> {
+fn bench_simulation(cfg: &Config) -> Duration {
     let start = Timestamp::from_gmt(2004, 7, 7, 0, 0, 0);
     let end = start + cfg.sim_horizon_secs;
-    // Best-of-reps, interleaved round-robin: a single 0.2-second run
-    // is dominated by scheduler noise and clock-frequency drift, and
-    // measuring each thread count in its own contiguous block would
-    // bias the never-slower-than-sequential gate toward whichever ran
-    // while the machine was fast.
-    let mut best = vec![Duration::MAX; cfg.sim_threads.len()];
+    // Best-of-reps: a single 0.2-second run is dominated by scheduler
+    // noise and clock-frequency drift.
+    let mut best = Duration::MAX;
     for _ in 0..cfg.sim_reps.max(1) {
-        for (slot, &threads) in cfg.sim_threads.iter().enumerate() {
-            let deployment = teragrid_deployment(42, start, end);
-            let options = SimOptions {
-                obs: Some(Obs::new()),
-                sim_threads: threads,
-                ..Default::default()
-            };
-            let started = Instant::now();
-            let outcome = SimRun::new(deployment, options).run();
-            best[slot] = best[slot].min(started.elapsed());
-            assert!(
-                outcome.server.with_depot(|d| d.stats().report_count()) > 0,
-                "simulation produced no reports"
-            );
-        }
+        let deployment = teragrid_deployment(42, start, end);
+        let options = SimOptions { obs: Some(Obs::new()), ..Default::default() };
+        let started = Instant::now();
+        let outcome = SimRun::new(deployment, options).run();
+        best = best.min(started.elapsed());
+        assert!(
+            outcome.server.with_depot(|d| d.stats().report_count()) > 0,
+            "simulation produced no reports"
+        );
     }
-    cfg.sim_threads.iter().copied().zip(best).collect()
+    best
 }
 
 fn decade_json(points: &[DecadePoint]) -> String {
@@ -406,15 +386,14 @@ fn main() {
     }
 
     eprintln!(
-        "depot_throughput: ingest {} into {} ({} reps), {} probes into {}, million curve to {}, sim {}s horizon at {:?} threads",
+        "depot_throughput: ingest {} into {} ({} reps), {} probes into {}, million curve to {}, sim {}s horizon",
         cfg.batch_reports,
         cfg.cache_reports,
         cfg.reps,
         cfg.probe_reports,
         cfg.probe_cache_reports,
         cfg.million_target,
-        cfg.sim_horizon_secs,
-        cfg.sim_threads
+        cfg.sim_horizon_secs
     );
 
     let ingest = bench_ingest(&cfg);
@@ -453,9 +432,7 @@ fn main() {
     }
 
     let sim = bench_simulation(&cfg);
-    for (threads, wall) in &sim {
-        eprintln!("  sim: {threads} thread(s) -> {:.3}s", wall.as_secs_f64());
-    }
+    eprintln!("  sim: {:.3}s", sim.as_secs_f64());
 
     let mut json = String::new();
     json.push_str("{\n");
@@ -527,16 +504,7 @@ fn main() {
         "    \"horizon_secs\": {},\n",
         cfg.sim_horizon_secs
     ));
-    json.push_str("    \"runs\": [\n");
-    for (i, (threads, wall)) in sim.iter().enumerate() {
-        json.push_str(&format!(
-            "      {{\"threads\": {}, \"wall_seconds\": {:.3}}}{}\n",
-            threads,
-            wall.as_secs_f64(),
-            if i + 1 < sim.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("    ]\n");
+    json.push_str(&format!("    \"wall_seconds\": {:.3}\n", sim.as_secs_f64()));
     json.push_str("  }\n");
     json.push_str("}\n");
 
@@ -557,25 +525,6 @@ fn main() {
                 probe.speedup, ROPE_SPEEDUP_FLOOR
             );
             std::process::exit(1);
-        }
-        let one_thread = sim
-            .iter()
-            .find(|(t, _)| *t == 1)
-            .map(|(_, w)| *w)
-            .expect("1-thread run present");
-        for (threads, wall) in &sim {
-            if *threads > 1
-                && wall.as_secs_f64() > one_thread.as_secs_f64() * SIM_SCALING_TOLERANCE
-            {
-                eprintln!(
-                    "FAIL: {} threads ({:.3}s) slower than 1 thread ({:.3}s) beyond the {:.0}% noise allowance",
-                    threads,
-                    wall.as_secs_f64(),
-                    one_thread.as_secs_f64(),
-                    (SIM_SCALING_TOLERANCE - 1.0) * 100.0
-                );
-                std::process::exit(1);
-            }
         }
     }
 }

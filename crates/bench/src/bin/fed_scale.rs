@@ -148,8 +148,7 @@ fn bench_point(sites: usize) -> Point {
         let (response, _) = oracle.submit(host, payload, now);
         assert_eq!(response, ServerResponse::Ack);
     }
-    let oracle_identical =
-        oracle.with_depot(|d| d.cache().document() == merged);
+    let oracle_identical = oracle.with_depot(|d| *d.cache().document() == *merged);
 
     Point {
         sites,

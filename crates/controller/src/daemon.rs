@@ -282,23 +282,6 @@ impl DistributedController {
         Some(t)
     }
 
-    /// Executes every entry due at `t` against the VO; returns how many
-    /// processes were forked.
-    pub fn run_due(&mut self, t: Timestamp, vo: &Vo) -> usize {
-        let due = self.scheduler.due_at(t);
-        let mut forked = 0;
-        for idx in due {
-            if !self.scheduler.dependency_satisfied(&self.spec, idx) {
-                self.stats.skipped_dependency += 1;
-                self.skipped.inc();
-                continue;
-            }
-            self.execute_entry(idx, t, vo);
-            forked += 1;
-        }
-        forked
-    }
-
     fn execute_entry(&mut self, idx: usize, t: Timestamp, vo: &Vo) {
         let entry = self.spec.entries[idx].clone();
         if self.offline_when_down

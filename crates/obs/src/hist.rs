@@ -92,11 +92,6 @@ impl SampleHistogram {
         }
     }
 
-    /// Number of samples in bucket `i` (0 for out-of-range `i`).
-    pub fn bucket_len(&self, i: usize) -> usize {
-        self.samples.get(i).map_or(0, Vec::len)
-    }
-
     /// The retained samples of bucket `i`, in arrival order.
     pub fn samples(&self, i: usize) -> &[f64] {
         self.samples.get(i).map_or(&[], Vec::as_slice)

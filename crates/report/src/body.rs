@@ -34,11 +34,6 @@ impl Body {
         &self.root
     }
 
-    /// Consumes the body, returning the tree.
-    pub fn into_root(self) -> Element {
-        self.root
-    }
-
     /// Resolves an Inca path against the body.
     pub fn lookup(&self, path: &IncaPath) -> Option<&Element> {
         path.resolve(&self.root)

@@ -424,61 +424,6 @@ impl CentralizedController {
             live_workers,
         })
     }
-
-    /// Starts the chosen server frontend on `listener`.
-    ///
-    /// Both frontends speak the identical framed protocol and share all
-    /// admission, dedup and depot machinery — the threaded loop is the
-    /// historical oracle, the reactor the scale path — so they must
-    /// produce byte-identical depot documents for the same submissions
-    /// (proven under chaos in `tests/net_frontend.rs`).
-    pub fn serve(
-        self: &Arc<Self>,
-        frontend: ServerFrontend,
-        listener: TcpListener,
-    ) -> std::io::Result<ServerHandle> {
-        match frontend {
-            ServerFrontend::Threaded => self.serve_tcp(listener).map(ServerHandle::Threaded),
-            ServerFrontend::Reactor => self.serve_reactor(listener).map(ServerHandle::Reactor),
-        }
-    }
-}
-
-/// Which server frontend accepts daemon connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServerFrontend {
-    /// The original thread-per-connection blocking accept loop — one
-    /// worker thread per daemon; kept as the correctness oracle.
-    Threaded,
-    /// The event-driven readiness reactor (`crate::reactor`) — one
-    /// thread multiplexing every daemon connection.
-    Reactor,
-}
-
-/// A running server frontend of either flavour; shuts down on drop.
-pub enum ServerHandle {
-    /// Thread-per-connection loop.
-    Threaded(TcpServerHandle),
-    /// Event-driven reactor.
-    Reactor(crate::reactor::ReactorHandle),
-}
-
-impl ServerHandle {
-    /// The bound address (use port 0 to pick a free port in tests).
-    pub fn addr(&self) -> SocketAddr {
-        match self {
-            ServerHandle::Threaded(h) => h.addr(),
-            ServerHandle::Reactor(h) => h.addr(),
-        }
-    }
-
-    /// Requests shutdown and joins the frontend's threads.
-    pub fn stop(self) {
-        match self {
-            ServerHandle::Threaded(h) => h.stop(),
-            ServerHandle::Reactor(h) => h.stop(),
-        }
-    }
 }
 
 /// How long a connection may sit idle (or mid-frame) before the server

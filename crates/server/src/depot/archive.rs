@@ -249,14 +249,15 @@ impl ArchiveStore {
         self.writes.get()
     }
 
-    /// Restores a store from [`ArchiveStore::dump`] output.
-    pub fn restore(text: &str) -> Result<ArchiveStore, String> {
+    /// Restores a store from [`ArchiveStore::dump`] output, with its
+    /// write counter registered in `obs`.
+    pub fn restore(text: &str, obs: &Obs) -> Result<ArchiveStore, String> {
         let mut lines = text.lines().peekable();
         match lines.next() {
             Some("archive-store v1") => {}
             other => return Err(format!("unknown archive dump header {other:?}")),
         }
-        let mut store = ArchiveStore::new();
+        let mut store = ArchiveStore::with_obs(obs);
         while let Some(header) = lines.next() {
             if let Some(rest) = header.strip_prefix("%%rule ") {
                 let kv = kv_map(rest);
@@ -458,7 +459,7 @@ mod tests {
             98.5,
         );
         let dump = store.dump();
-        let restored = ArchiveStore::restore(&dump).unwrap();
+        let restored = ArchiveStore::restore(&dump, &Obs::new()).unwrap();
         assert_eq!(restored.dump(), dump, "dump must be a fixed point");
         assert_eq!(restored.rules().len(), 1);
         assert_eq!(restored.rules()[0].name, "bandwidth");
@@ -476,9 +477,9 @@ mod tests {
 
     #[test]
     fn restore_rejects_garbage() {
-        assert!(ArchiveStore::restore("").is_err());
-        assert!(ArchiveStore::restore("archive-store v9\n").is_err());
-        assert!(ArchiveStore::restore("archive-store v1\nbogus line\n").is_err());
+        assert!(ArchiveStore::restore("", &Obs::new()).is_err());
+        assert!(ArchiveStore::restore("archive-store v9\n", &Obs::new()).is_err());
+        assert!(ArchiveStore::restore("archive-store v1\nbogus line\n", &Obs::new()).is_err());
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! exactly that decomposition and returns both components in
 //! [`DepotTiming`] — the data behind Table 4 and Figure 9.
 
-use std::borrow::Cow;
 use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -99,11 +99,51 @@ pub enum CacheBackend {
     Rope,
 }
 
-/// The depot's cache storage: one of the two backends.
+/// The depot's cache: one of the two backends.
+///
+/// What [`Depot::cache`] hands to the querying interface as a shared
+/// reference; the mutating half of the dispatch stays private to the
+/// depot.
 #[derive(Debug)]
-enum CacheStore {
+pub enum CacheStore {
+    /// Contiguous-string splice cache (the paper's design).
     Splice(XmlCache),
+    /// Arena-backed rope with lazy materialization.
     Rope(RopeCache),
+}
+
+/// The full cache document, without a copy on either backend: borrowed
+/// from the splice cache, or the rope's per-generation memo shared by
+/// `Arc`. Derefs to `str`.
+#[derive(Debug, Clone)]
+pub enum CacheDocument<'a> {
+    /// The splice cache's own document.
+    Borrowed(&'a str),
+    /// The rope's materialized document for the current generation.
+    Shared(Arc<String>),
+}
+
+impl Deref for CacheDocument<'_> {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        match self {
+            CacheDocument::Borrowed(doc) => doc,
+            CacheDocument::Shared(doc) => doc,
+        }
+    }
+}
+
+impl PartialEq for CacheDocument<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Display for CacheDocument<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self)
+    }
 }
 
 impl CacheStore {
@@ -121,14 +161,16 @@ impl CacheStore {
         }
     }
 
-    fn generation(&self) -> u64 {
+    /// Mutation counter — the memo/materialization cache key.
+    pub fn generation(&self) -> u64 {
         match self {
             CacheStore::Splice(c) => c.generation(),
             CacheStore::Rope(c) => c.generation(),
         }
     }
 
-    fn size_bytes(&self) -> usize {
+    /// Document size in bytes (O(1) on both backends).
+    pub fn size_bytes(&self) -> usize {
         match self {
             CacheStore::Splice(c) => c.size_bytes(),
             CacheStore::Rope(c) => c.size_bytes(),
@@ -151,7 +193,8 @@ impl CacheStore {
         }
     }
 
-    fn report_count(&self) -> usize {
+    /// Number of cached reports (O(1) on both backends).
+    pub fn report_count(&self) -> usize {
         match self {
             CacheStore::Splice(c) => c.report_count(),
             CacheStore::Rope(c) => c.report_count(),
@@ -179,67 +222,27 @@ impl CacheStore {
         }
     }
 
-    fn document(&self) -> Cow<'_, str> {
+    /// The full cache document: borrowed from the splice cache,
+    /// materialized once per generation on the rope.
+    pub fn document(&self) -> CacheDocument<'_> {
         match self {
-            CacheStore::Splice(c) => Cow::Borrowed(c.document()),
-            CacheStore::Rope(c) => Cow::Owned((*c.document()).clone()),
-        }
-    }
-}
-
-/// Backend-agnostic read view of a depot's cache.
-///
-/// What [`Depot::cache`] hands to the querying interface: the common
-/// read surface of both backends. `document()` borrows from the splice
-/// cache and materializes (generation-cached inside [`RopeCache`]) on
-/// the rope.
-#[derive(Debug, Clone, Copy)]
-pub enum CacheRef<'a> {
-    /// A splice-backed depot's cache.
-    Splice(&'a XmlCache),
-    /// A rope-backed depot's cache.
-    Rope(&'a RopeCache),
-}
-
-impl<'a> CacheRef<'a> {
-    /// Which backend this view reads from.
-    pub fn backend(&self) -> CacheBackend {
-        match self {
-            CacheRef::Splice(_) => CacheBackend::Splice,
-            CacheRef::Rope(_) => CacheBackend::Rope,
+            CacheStore::Splice(c) => CacheDocument::Borrowed(c.document()),
+            CacheStore::Rope(c) => CacheDocument::Shared(c.document()),
         }
     }
 
-    /// The full cache document.
-    pub fn document(&self) -> Cow<'a, str> {
-        match self {
-            CacheRef::Splice(c) => Cow::Borrowed(c.document()),
-            CacheRef::Rope(c) => Cow::Owned((*c.document()).clone()),
+    fn new(backend: CacheBackend) -> CacheStore {
+        match backend {
+            CacheBackend::Splice => CacheStore::Splice(XmlCache::new()),
+            CacheBackend::Rope => CacheStore::Rope(RopeCache::new()),
         }
     }
 
-    /// Document size in bytes (O(1) on both backends).
-    pub fn size_bytes(&self) -> usize {
-        match self {
-            CacheRef::Splice(c) => c.size_bytes(),
-            CacheRef::Rope(c) => c.size_bytes(),
-        }
-    }
-
-    /// Number of cached reports (O(1) on both backends).
-    pub fn report_count(&self) -> usize {
-        match self {
-            CacheRef::Splice(c) => c.report_count(),
-            CacheRef::Rope(c) => c.report_count(),
-        }
-    }
-
-    /// Mutation counter — the memo/materialization cache key.
-    pub fn generation(&self) -> u64 {
-        match self {
-            CacheRef::Splice(c) => c.generation(),
-            CacheRef::Rope(c) => c.generation(),
-        }
+    fn from_document(backend: CacheBackend, doc: String) -> Result<CacheStore, CacheError> {
+        Ok(match backend {
+            CacheBackend::Splice => CacheStore::Splice(XmlCache::from_document(doc)?),
+            CacheBackend::Rope => CacheStore::Rope(RopeCache::from_document(doc)?),
+        })
     }
 }
 
@@ -288,12 +291,6 @@ impl Depot {
         Depot::with_obs(Obs::global())
     }
 
-    /// An empty depot on the given cache backend, observing into
-    /// [`Obs::global`].
-    pub fn with_backend(backend: CacheBackend) -> Depot {
-        Depot::with_obs_backend(Obs::global(), backend)
-    }
-
     /// An empty depot whose spans and metrics go to `obs` (isolated
     /// registries for tests, embedded setups with their own handle).
     pub fn with_obs(obs: Obs) -> Depot {
@@ -336,10 +333,7 @@ impl Depot {
             &DEFAULT_LATENCY_BOUNDS,
         );
         Depot {
-            cache: match backend {
-                CacheBackend::Splice => CacheStore::Splice(XmlCache::new()),
-                CacheBackend::Rope => CacheStore::Rope(RopeCache::new()),
-            },
+            cache: CacheStore::new(backend),
             archive: ArchiveStore::with_obs(&obs),
             stats: ResponseStats::new(),
             obs,
@@ -565,18 +559,9 @@ impl Depot {
         results.into_iter().map(|r| r.expect("every envelope resolved")).collect()
     }
 
-    /// The cache (read access for the querying interface), as a
-    /// backend-agnostic view.
-    pub fn cache(&self) -> CacheRef<'_> {
-        match &self.cache {
-            CacheStore::Splice(c) => CacheRef::Splice(c),
-            CacheStore::Rope(c) => CacheRef::Rope(c),
-        }
-    }
-
-    /// Which cache backend this depot runs on.
-    pub fn cache_backend(&self) -> CacheBackend {
-        self.cache().backend()
+    /// The cache (read access for the querying interface).
+    pub fn cache(&self) -> &CacheStore {
+        &self.cache
     }
 
     /// [`XmlCache::subtree`] through the query memo. The returned flag
@@ -650,34 +635,21 @@ impl Depot {
         Ok(())
     }
 
-    /// Restores a depot persisted with [`Depot::save_to`], on the
-    /// default (splice) backend.
-    pub fn load_from(dir: &std::path::Path) -> std::io::Result<Depot> {
-        Depot::load_from_backend(dir, CacheBackend::default())
-    }
-
-    /// Restores a depot persisted with [`Depot::save_to`] onto an
-    /// explicit cache backend. Both backends produce the same canonical
+    /// Restores a depot persisted with [`Depot::save_to`] onto `backend`,
+    /// observing into `obs`. Both backends produce the same canonical
     /// document, so persisted state moves freely between them.
-    pub fn load_from_backend(
+    pub fn load_from(
         dir: &std::path::Path,
+        obs: Obs,
         backend: CacheBackend,
     ) -> std::io::Result<Depot> {
+        let invalid = |e: String| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
         let cache_doc = std::fs::read_to_string(dir.join("cache.xml"))?;
         let archive_text = std::fs::read_to_string(dir.join("archives.txt"))?;
-        let invalid =
-            |e: String| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
-        let cache = match backend {
-            CacheBackend::Splice => CacheStore::Splice(
-                XmlCache::from_document(cache_doc).map_err(|e| invalid(e.to_string()))?,
-            ),
-            CacheBackend::Rope => CacheStore::Rope(
-                RopeCache::from_document(cache_doc).map_err(|e| invalid(e.to_string()))?,
-            ),
-        };
-        let archive = ArchiveStore::restore(&archive_text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        let mut depot = Depot::new();
+        let cache =
+            CacheStore::from_document(backend, cache_doc).map_err(|e| invalid(e.to_string()))?;
+        let archive = ArchiveStore::restore(&archive_text, &obs).map_err(invalid)?;
+        let mut depot = Depot::with_obs_backend(obs, backend);
         depot.cache_bytes.set(cache.size_bytes() as f64);
         depot.cache_reports.set(cache.report_count() as f64);
         depot.arena_bytes.set(cache.arena_bytes() as f64);
@@ -941,7 +913,7 @@ mod tests {
         );
         let dir = std::env::temp_dir().join(format!("inca-depot-test-{}", std::process::id()));
         depot.save_to(&dir).unwrap();
-        let loaded = Depot::load_from(&dir).unwrap();
+        let loaded = Depot::load_from(&dir, Obs::new(), CacheBackend::Splice).unwrap();
         std::fs::remove_dir_all(&dir).ok();
 
         // Cache identical.
@@ -979,15 +951,45 @@ mod tests {
     }
 
     #[test]
+    fn restore_moves_between_backends_and_reports_into_the_given_registry() {
+        let t = Timestamp::from_secs(1_000);
+        let mut rope = Depot::with_obs_backend(Obs::new(), CacheBackend::Rope);
+        for i in 0..12 {
+            let branch = format!("reporter=r{i},resource=m{},vo=tg", i % 3);
+            rope.receive(&envelope_bytes(&branch, &i.to_string(), EnvelopeMode::Binary), t)
+                .unwrap();
+        }
+        let original = rope.cache().document().to_string();
+        let base = std::env::temp_dir().join(format!("inca-depot-swap-{}", std::process::id()));
+        let (first, second) = (base.join("rope"), base.join("splice"));
+
+        rope.save_to(&first).unwrap();
+        let splice_obs = Obs::new();
+        let splice = Depot::load_from(&first, splice_obs.clone(), CacheBackend::Splice).unwrap();
+        assert!(matches!(splice.cache(), CacheStore::Splice(_)));
+        splice.save_to(&second).unwrap();
+        let rope_obs = Obs::new();
+        let restored = Depot::load_from(&second, rope_obs.clone(), CacheBackend::Rope).unwrap();
+        assert!(matches!(restored.cache(), CacheStore::Rope(_)));
+        std::fs::remove_dir_all(&base).ok();
+
+        assert_eq!(*splice.cache().document(), *original);
+        assert_eq!(*restored.cache().document(), *original);
+        for obs in [&splice_obs, &rope_obs] {
+            assert_eq!(obs.metrics().gauge_value("inca_depot_cache_reports", &[]), Some(12.0));
+        }
+    }
+
+    #[test]
     fn load_rejects_corrupt_state() {
         let dir = std::env::temp_dir().join(format!("inca-depot-corrupt-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("cache.xml"), "<notACache/>").unwrap();
         std::fs::write(dir.join("archives.txt"), "archive-store v1\n").unwrap();
-        assert!(Depot::load_from(&dir).is_err());
+        assert!(Depot::load_from(&dir, Obs::new(), CacheBackend::Splice).is_err());
         std::fs::write(dir.join("cache.xml"), "<incaCache></incaCache>").unwrap();
         std::fs::write(dir.join("archives.txt"), "garbage").unwrap();
-        assert!(Depot::load_from(&dir).is_err());
+        assert!(Depot::load_from(&dir, Obs::new(), CacheBackend::Splice).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 

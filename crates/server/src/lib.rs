@@ -46,20 +46,17 @@ pub mod scrape;
 pub mod stats;
 pub mod temporal;
 
-pub use controller::{
-    CentralizedController, ControllerConfig, ServerFrontend, ServerHandle, TcpServerHandle,
-};
+pub use controller::{CentralizedController, ControllerConfig, TcpServerHandle};
 pub use dedup::{DedupIndex, DEFAULT_DEDUP_WINDOW};
 pub use depot::cache::{CacheError, XmlCache};
 pub use depot::archive::{ArchiveRule, ArchiveStore};
-pub use depot::depot::{CacheBackend, CacheRef, Depot, DepotError, DepotTiming};
+pub use depot::depot::{CacheBackend, CacheDocument, CacheStore, Depot, DepotError, DepotTiming};
 pub use depot::memo::{MemoValue, QueryMemo};
 pub use depot::rope::RopeCache;
 pub use federation::{
     rollup_branch, rollup_rule, rollup_series_prefix, routing_key, Federation,
     FederationConfig, PartitionMap,
 };
-pub use depot::sharded::ShardedCache;
 pub use query::QueryInterface;
 pub use reactor::{ReactorConfig, ReactorHandle};
 pub use scrape::{MetricsScraper, SELF_SCRAPE_TIERS, SELF_SERIES_PREFIX};

@@ -14,7 +14,7 @@ use inca_report::{BranchId, Report, Timestamp};
 use inca_rrd::{ConsolidationFn, GraphSeries};
 
 use crate::depot::cache::{CacheError, XmlCache};
-use crate::depot::depot::Depot;
+use crate::depot::depot::{CacheDocument, Depot};
 use crate::temporal::TemporalQuery;
 
 /// Read-side facade over a depot.
@@ -78,8 +78,8 @@ impl<'a> QueryInterface<'a> {
     /// The entire cache document ("In the case that no branch
     /// identifier is supplied, the entire contents of the cache is
     /// returned").
-    pub fn current_all(&self) -> String {
-        self.depot.cache().document().to_string()
+    pub fn current_all(&self) -> CacheDocument<'a> {
+        self.depot.cache().document()
     }
 
     /// Merges per-partition report sets into one cache document.

@@ -29,9 +29,9 @@
 //!   in-flight frame budget simply stops reading — level triggering
 //!   re-reports the remaining sockets on the next pass.
 //!
-//! The old loop stays available as [`ServerFrontend::Threaded`] and is
-//! the oracle: both frontends must converge to byte-identical depot
-//! documents under connection chaos (`tests/net_frontend.rs`).
+//! The old loop stays available as [`serve_tcp`] and is the oracle:
+//! both frontends must converge to byte-identical depot documents under
+//! connection chaos (`tests/net_frontend.rs`).
 //!
 //! Instrumentation: `inca_net_connections`,
 //! `inca_net_readiness_wakeups_total`, `inca_net_frames_total`,
@@ -40,7 +40,6 @@
 //! exemplars join each report's lineage).
 //!
 //! [`serve_tcp`]: CentralizedController::serve_tcp
-//! [`ServerFrontend::Threaded`]: crate::controller::ServerFrontend
 //! [`EnvelopeMode::Binary`]: inca_wire::envelope::EnvelopeMode
 
 pub mod poller;
@@ -281,19 +280,34 @@ impl CentralizedController {
         listener: TcpListener,
         config: ReactorConfig,
     ) -> io::Result<ReactorHandle> {
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
+        let (mut reactor, wake) = Reactor::new(self, listener, config)?;
+        let shutdown = Arc::clone(&reactor.shutdown);
+        let connections = Arc::clone(&reactor.conn_count);
+        let thread = std::thread::Builder::new()
+            .name("inca-reactor".into())
+            .spawn(move || reactor.run())?;
+        Ok(ReactorHandle { addr, shutdown, wake, connections, thread: Some(thread) })
+    }
+}
+
+impl Reactor {
+    /// A reactor serving `listener`, plus the write end of its wake
+    /// pipe.
+    fn new(
+        controller: &Arc<CentralizedController>,
+        listener: TcpListener,
+        config: ReactorConfig,
+    ) -> io::Result<(Reactor, UnixStream)> {
+        listener.set_nonblocking(true)?;
         let (wake_tx, wake_rx) = UnixStream::pair()?;
         wake_rx.set_nonblocking(true)?;
         wake_tx.set_nonblocking(true)?;
         let mut poller = Poller::new(1_024)?;
         poller.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
         poller.register(wake_rx.as_raw_fd(), TOKEN_WAKE, Interest::READ)?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let conn_count = Arc::new(AtomicUsize::new(0));
-        let metrics = NetMetrics::new(self);
-        let mut reactor = Reactor {
-            controller: Arc::clone(self),
+        let reactor = Reactor {
+            controller: Arc::clone(controller),
             read_chunk: vec![0u8; config.read_chunk_bytes],
             config,
             poller,
@@ -302,25 +316,14 @@ impl CentralizedController {
             conns: HashMap::new(),
             backlog: BTreeSet::new(),
             next_token: TOKEN_FIRST_CONN,
-            metrics,
-            conn_count: Arc::clone(&conn_count),
-            shutdown: Arc::clone(&shutdown),
+            metrics: NetMetrics::new(controller),
+            conn_count: Arc::new(AtomicUsize::new(0)),
+            shutdown: Arc::new(AtomicBool::new(false)),
             last_idle_sweep: Instant::now(),
         };
-        let thread = std::thread::Builder::new()
-            .name("inca-reactor".into())
-            .spawn(move || reactor.run())?;
-        Ok(ReactorHandle {
-            addr,
-            shutdown,
-            wake: wake_tx,
-            connections: conn_count,
-            thread: Some(thread),
-        })
+        Ok((reactor, wake_tx))
     }
-}
 
-impl Reactor {
     fn run(&mut self) {
         let mut ready: Vec<Readiness> = Vec::new();
         while !self.shutdown.load(Ordering::SeqCst) {
@@ -694,16 +697,15 @@ impl Reactor {
 
     /// Reaps idle connections, amortized to roughly once per timeout.
     ///
-    /// "Idle" means the connection is genuinely quiet, not merely
-    /// throttled: a daemon paused past the reply watermark sends no
-    /// bytes *because the reactor withdrew its read interest*, so its
-    /// `last_activity` goes stale mid-drain while tens of KiB of acks
-    /// are still staged. Reaping it would discard acknowledged work and
-    /// force a full respool — doubly costly once depot-to-depot links
-    /// pause under fan-in. Connections with staged replies, withdrawn
-    /// read interest, or frames parked on the pass-budget backlog are
-    /// therefore exempt: all three states quiesce only through the
-    /// reactor's own progress, which refreshes `last_activity`.
+    /// "Idle" means no progress is owed in *either* direction, not
+    /// merely no recent bytes: a daemon that stops reading its acks
+    /// stalls the reply path, so `last_activity` goes stale mid-drain
+    /// while acks are still staged in user space or queued in the
+    /// kernel send buffer. Reaping it would discard acknowledged work
+    /// and force a full respool — doubly costly once depot-to-depot
+    /// links pause under fan-in. Connections with staged replies,
+    /// kernel-queued replies, withdrawn read interest, or frames parked
+    /// on the pass-budget backlog are therefore exempt.
     fn sweep_idle(&mut self) {
         if self.last_idle_sweep.elapsed() < self.config.idle_timeout {
             return;
@@ -719,6 +721,7 @@ impl Reactor {
                     && c.pending_out() == 0
                     && (c.interest.read || c.closing)
                     && !backlog.contains(&t)
+                    && kernel_send_queued(&c.stream) == 0
             })
             .map(|(&t, _)| t)
             .collect();
@@ -804,6 +807,37 @@ fn set_kernel_buf(stream: &TcpStream, which: KernelBuf, bytes: usize) -> io::Res
         return Err(io::Error::last_os_error());
     }
     Ok(())
+}
+
+/// Bytes still in a socket's kernel send queue — written by the
+/// reactor but not yet acknowledged by the peer (`SIOCOUTQ`, through
+/// the same extern-shim approach as [`set_kernel_buf`]). Platforms
+/// without the query report 0, which leaves idleness to user-space
+/// state alone.
+fn kernel_send_queued(stream: &TcpStream) -> usize {
+    #[cfg(target_os = "linux")]
+    {
+        use std::os::raw::{c_int, c_ulong};
+        const SIOCOUTQ: c_ulong = 0x5411;
+        extern "C" {
+            fn ioctl(fd: c_int, request: c_ulong, ...) -> c_int;
+        }
+        let mut queued: c_int = 0;
+        // SAFETY: the fd is owned by `stream` and open for this call;
+        // SIOCOUTQ writes one c_int through the pointer, which points
+        // at a live local of that type.
+        let rc = unsafe { ioctl(stream.as_raw_fd(), SIOCOUTQ, &mut queued as *mut c_int) };
+        if rc == 0 {
+            queued.max(0) as usize
+        } else {
+            0
+        }
+    }
+    #[cfg(not(target_os = "linux"))]
+    {
+        let _ = stream;
+        0
+    }
 }
 
 /// Writes staged bytes until the socket stops taking them. `Ok` leaves
@@ -1102,12 +1136,12 @@ mod tests {
     }
 
     /// Regression: the idle sweep used to reap any connection without
-    /// recent socket activity — including one the reactor itself had
-    /// paused for backpressure. A paused daemon sends no bytes (its
-    /// read interest is withdrawn) and receives none (the kernel reply
-    /// path is full), so `last_activity` goes stale mid-drain and the
-    /// sweep severed a healthy connection with staged acks still
-    /// aboard. The sweep must exempt paused/pending-write connections.
+    /// recent socket activity whose user-space reply buffer was empty —
+    /// including one whose acks sat in the kernel send queue because
+    /// the daemon had stopped reading. The stalled state is built
+    /// directly on an unstarted reactor: replies flushed until the
+    /// kernel holds everything the unread peer's window refuses, the
+    /// connection's clock aged past the timeout, then one sweep.
     #[test]
     fn idle_sweep_spares_backpressure_paused_connections() {
         let controller = Arc::new(CentralizedController::new(
@@ -1115,70 +1149,76 @@ mod tests {
             Depot::with_obs(inca_obs::Obs::new()),
         ));
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
         let idle_timeout = Duration::from_millis(300);
-        let handle = controller
-            .serve_reactor_config(
-                listener,
-                ReactorConfig {
-                    pause_outbuf_bytes: 8,
-                    sndbuf_bytes: Some(4_096),
-                    idle_timeout,
-                    ..ReactorConfig::default()
-                },
-            )
-            .unwrap();
-        let stream = TcpStream::connect(handle.addr()).unwrap();
-        set_kernel_buf(&stream, KernelBuf::Recv, 4_096).unwrap();
-        stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-        let burst: usize = 4_000;
-        let mut wire = Vec::new();
-        for i in 0..burst {
-            write_frame(&mut wire, &message(&format!("sw{i}"), "sw")).unwrap();
+        let config = ReactorConfig {
+            sndbuf_bytes: Some(4_096),
+            idle_timeout,
+            ..ReactorConfig::default()
+        };
+        let (mut reactor, _wake) = Reactor::new(&controller, listener, config).unwrap();
+        let mut client = TcpStream::connect(addr).unwrap();
+        set_kernel_buf(&client, KernelBuf::Recv, 4_096).unwrap();
+        while reactor.conns.is_empty() {
+            reactor.accept_ready();
         }
-        // Push the burst without reading a reply: acks overflow the
-        // pinned kernel buffers, the watermark pauses the connection,
-        // and with the client reading nothing the socket goes byte-
-        // silent in both directions.
-        let mut writer_stream = stream.try_clone().unwrap();
-        let writer = std::thread::spawn(move || writer_stream.write_all(&wire));
-        let metrics = controller.obs().metrics();
-        let mut last = 0u64;
-        let mut stable = 0;
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while stable < 3 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(100));
-            let now = metrics.counter_value("inca_net_frames_total", &[]).unwrap_or(0);
-            if now == last {
-                stable += 1;
-            } else {
-                stable = 0;
-                last = now;
+        let token = *reactor.conns.keys().next().unwrap();
+
+        // Flush acks one at a time until the kernel refuses one: the
+        // peer's receive window and the server's send queue are full.
+        // Dropping the refused remainder leaves the exact reaped state:
+        // nothing staged in user space, read interest on, acks queued
+        // in the kernel.
+        let ack = ServerResponse::Ack.encode();
+        let mut acks = 0usize;
+        loop {
+            let conn = reactor.conns.get_mut(&token).unwrap();
+            stage_reply(conn, &ack);
+            flush_outbuf(conn).unwrap();
+            if conn.pending_out() > 0 {
+                // The kernel may hold a prefix of this last ack; the
+                // daemon reads only the whole ones before it.
+                conn.outbuf.clear();
+                conn.written = 0;
+                break;
             }
+            acks += 1;
         }
-        assert!(last > 0, "server must have processed part of the burst");
-        // Hold the stall across several sweep periods. last_activity is
-        // now long past idle_timeout; only the paused/pending-write
-        // exemption keeps the connection alive.
-        std::thread::sleep(idle_timeout * 4);
+        reactor.update_interest(token);
+        let stale = |r: &mut Reactor| {
+            let past = Instant::now().checked_sub(idle_timeout * 2).unwrap();
+            r.last_idle_sweep = past;
+            for conn in r.conns.values_mut() {
+                conn.last_activity = past;
+            }
+        };
+        let conn = &reactor.conns[&token];
+        assert_eq!(conn.pending_out(), 0);
+        assert!(conn.interest.read);
+        assert!(kernel_send_queued(&conn.stream) > 0, "acks must be queued in the kernel");
+
+        stale(&mut reactor);
+        reactor.sweep_idle();
         assert!(
-            handle.connection_count() >= 1,
-            "idle sweep reaped a backpressure-paused connection mid-drain"
+            reactor.conns.contains_key(&token),
+            "idle sweep reaped a connection with acks still queued in the kernel"
         );
-        // The drain completes and the connection still works.
-        let mut stream = stream;
-        for _ in 0..burst {
-            let reply = read_frame(&mut stream).unwrap();
+
+        // The daemon drains every ack intact; once the kernel queue is
+        // empty the connection is genuinely idle and the sweep reaps it.
+        client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        for _ in 0..acks {
+            let reply = read_frame(&mut client).unwrap();
             assert_eq!(ServerResponse::decode(&reply).unwrap(), ServerResponse::Ack);
         }
-        writer.join().unwrap().unwrap();
-        write_frame(&mut stream, &message("sw-final", "sw")).unwrap();
-        let reply = read_frame(&mut stream).unwrap();
-        assert_eq!(ServerResponse::decode(&reply).unwrap(), ServerResponse::Ack);
-        assert_eq!(
-            controller.with_depot(|d| d.stats().report_count()),
-            burst as u64 + 1
-        );
-        handle.stop();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while kernel_send_queued(&reactor.conns[&token].stream) > 0 {
+            assert!(Instant::now() < deadline, "kernel send queue never drained");
+            std::thread::yield_now();
+        }
+        stale(&mut reactor);
+        reactor.sweep_idle();
+        assert!(reactor.conns.is_empty(), "a drained, quiet connection is idle");
     }
 
     #[test]

@@ -86,13 +86,6 @@ impl MetricsScraper {
         }
     }
 
-    /// Overrides the default archive layout (base policy + tiers).
-    pub fn with_layout(mut self, policy: ArchivePolicy, tiers: &[(u32, u64)]) -> MetricsScraper {
-        self.policy = policy;
-        self.tiers = tiers.to_vec();
-        self
-    }
-
     /// The scrape cadence the archives are sized for.
     pub fn period_secs(&self) -> u64 {
         self.period_secs

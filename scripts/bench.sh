@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Regenerates the tracked bench baselines at the repo root:
 #   BENCH_depot.json  — batched ingest, rope-vs-splice write paths,
-#                       the million-report ingest curve, and parallel
-#                       simulation scaling
+#                       the million-report ingest curve, and the
+#                       end-to-end simulation wall clock
 #   BENCH_query.json  — indexed reads vs streaming scan + reader/writer
 #                       contention over the shared depot lock
 #   BENCH_obs.json    — trace-store ingest throughput and forensic

@@ -10,6 +10,16 @@ cargo build --release
 echo "== tier-1: cargo test -q =="
 cargo test -q
 
+# Every crate's own suite, so a red crate test cannot hide behind the
+# root-package tier-1 run.
+echo "== workspace: cargo test --workspace --no-fail-fast =="
+cargo test --workspace --no-fail-fast
+
+# The repository benchmark builds against the crates' public API; its
+# own tests catch an API cut that would break it.
+echo "== perfbench: cargo test --release --manifest-path perfbench/Cargo.toml =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # The Figure 9 scaling check streams multi-megabyte caches and is
 # #[ignore]d in the default suite; verify still runs it.
 echo "== slow depot scaling check (--ignored) =="
@@ -19,7 +29,7 @@ cargo test -q -p inca-server --lib -- --ignored
 # the promtool-style exposition lint (format conformance of
 # QueryInterface::metrics_text()), the end-to-end lineage +
 # staleness-alert test over a fault-injected simulated Monday, and the
-# thread-count determinism contract of the parallel simulation engine.
+# same-seed determinism contract of the simulation engine.
 echo "== health + exposition gate =="
 cargo test -q -p inca-health
 cargo test -q -p inca-obs lint
@@ -69,9 +79,9 @@ cargo test -q -p inca-rrd --test proptest_multires
 cargo test -q --test temporal_query
 
 # Exactly-once delivery: the chaos suite (a faulted run must converge
-# to a depot byte-identical to the fault-free run, deterministically
-# across thread counts), the lost-reply regression over a real TCP
-# hop, and the proptest hunting arbitrary fault schedules.
+# to a depot byte-identical to the fault-free run), the lost-reply
+# regression over a real TCP hop, and the proptest hunting arbitrary
+# fault schedules.
 echo "== delivery chaos gate =="
 cargo test -q --test chaos
 cargo test -q --test reliable_delivery
@@ -102,7 +112,7 @@ cargo test -q --test federation
 # consumers of the baselines rely on are present.
 echo "== bench smoke gate =="
 scripts/bench.sh --smoke --out-dir target
-for key in '"speedup"' '"threads"' '"batched_seconds"' '"wall_seconds"' '"million_ingest"' '"rope_vs_splice"' '"rope_seconds"' '"arena_bytes"'; do
+for key in '"speedup"' '"batched_seconds"' '"wall_seconds"' '"million_ingest"' '"rope_vs_splice"' '"rope_seconds"' '"arena_bytes"'; do
   if ! grep -q "$key" target/BENCH_depot.smoke.json; then
     echo "verify FAILED: depot bench smoke output missing $key" >&2
     exit 1

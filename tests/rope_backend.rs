@@ -34,12 +34,7 @@ struct Outcome {
     retries: u64,
 }
 
-fn run(
-    backend: CacheBackend,
-    mode: EnvelopeMode,
-    faults: Option<ForwardFaultConfig>,
-    threads: usize,
-) -> Outcome {
+fn run(backend: CacheBackend, mode: EnvelopeMode, faults: Option<ForwardFaultConfig>) -> Outcome {
     let (start, end) = horizon();
     let mut deployment = teragrid_deployment(42, start, end);
     deployment.retain_resources(&[SDSC, PSC]);
@@ -49,7 +44,6 @@ fn run(
         SimOptions {
             obs: Some(obs.clone()),
             verify_every_secs: None,
-            sim_threads: threads,
             forward_faults: faults,
             cache_backend: backend,
             envelope_mode: mode,
@@ -71,9 +65,9 @@ fn run(
 
 #[test]
 fn rope_binary_run_is_byte_identical_to_splice_body_run() {
-    let baseline = run(CacheBackend::Splice, EnvelopeMode::Body, None, 1);
+    let baseline = run(CacheBackend::Splice, EnvelopeMode::Body, None);
     assert!(baseline.ingested_reports > 200, "baseline must be a real run");
-    let fast = run(CacheBackend::Rope, EnvelopeMode::Binary, None, 1);
+    let fast = run(CacheBackend::Rope, EnvelopeMode::Binary, None);
     assert_eq!(fast.ingested_reports, baseline.ingested_reports);
     assert_eq!(fast.cached_reports, baseline.cached_reports);
     assert_eq!(
@@ -85,13 +79,8 @@ fn rope_binary_run_is_byte_identical_to_splice_body_run() {
 #[test]
 fn chaotic_rope_binary_run_converges_to_the_fault_free_splice_cache() {
     let (start, _) = horizon();
-    let baseline = run(CacheBackend::Splice, EnvelopeMode::Body, None, 1);
-    let chaotic = run(
-        CacheBackend::Rope,
-        EnvelopeMode::Binary,
-        Some(chaos_schedule(start)),
-        1,
-    );
+    let baseline = run(CacheBackend::Splice, EnvelopeMode::Body, None);
+    let chaotic = run(CacheBackend::Rope, EnvelopeMode::Binary, Some(chaos_schedule(start)));
     // The chaos actually bit on the fast path too.
     assert!(chaotic.retries > 0, "fault schedule must force retries");
     assert!(chaotic.duplicates > 0, "lost acks must produce absorbed duplicates");
@@ -101,20 +90,4 @@ fn chaotic_rope_binary_run_converges_to_the_fault_free_splice_cache() {
         chaotic.cache_document, baseline.cache_document,
         "chaotic rope+binary cache must converge to the fault-free splice cache"
     );
-}
-
-#[test]
-fn rope_backend_is_deterministic_across_thread_counts() {
-    let (start, _) = horizon();
-    let sequential =
-        run(CacheBackend::Rope, EnvelopeMode::Binary, Some(chaos_schedule(start)), 1);
-    for threads in [2usize, 8] {
-        let parallel =
-            run(CacheBackend::Rope, EnvelopeMode::Binary, Some(chaos_schedule(start)), threads);
-        assert_eq!(
-            sequential.cache_document, parallel.cache_document,
-            "rope cache diverged at {threads} threads"
-        );
-        assert_eq!(sequential.ingested_reports, parallel.ingested_reports);
-    }
 }

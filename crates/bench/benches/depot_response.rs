@@ -66,12 +66,12 @@ fn bench_report_size_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-/// The §5.2.2 ablation: body mode (2004 behaviour) vs attachment mode
-/// (the paper's proposed optimization).
+/// The §5.2.2 ablation: body mode (2004 behaviour) vs binary mode (the
+/// paper's proposed optimization: raw report bytes, no escaping).
 fn bench_envelope_mode_ablation(c: &mut Criterion) {
     let mut group = c.benchmark_group("depot_response/envelope_mode");
     for (label, mode) in
-        [("body", EnvelopeMode::Body), ("attachment", EnvelopeMode::Attachment)]
+        [("body", EnvelopeMode::Body), ("binary", EnvelopeMode::Binary)]
     {
         let mut depot = depot_with_cache(1_000_000);
         let report =

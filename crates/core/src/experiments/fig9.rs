@@ -203,14 +203,14 @@ mod tests {
     }
 
     #[test]
-    fn attachment_mode_cuts_unpack_cost() {
+    fn binary_mode_cuts_unpack_cost() {
         // The §5.2.2 proposed optimization, quantified.
         let body = run_with(8, EnvelopeMode::Body, &[400_000], &[45_527]);
-        let attach = run_with(8, EnvelopeMode::Attachment, &[400_000], &[45_527]);
+        let binary = run_with(8, EnvelopeMode::Binary, &[400_000], &[45_527]);
         assert!(
-            attach[0].unpack_us < body[0].unpack_us,
-            "attachment unpack {:.1}us should beat body {:.1}us",
-            attach[0].unpack_us,
+            binary[0].unpack_us < body[0].unpack_us,
+            "binary unpack {:.1}us should beat body {:.1}us",
+            binary[0].unpack_us,
             body[0].unpack_us
         );
     }

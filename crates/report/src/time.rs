@@ -24,6 +24,13 @@ impl Timestamp {
         Timestamp(secs)
     }
 
+    /// The wall clock, truncated to whole seconds (the epoch if the
+    /// system clock reads before it).
+    pub fn now() -> Self {
+        let since_epoch = std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH);
+        Timestamp(since_epoch.map_or(0, |d| d.as_secs()))
+    }
+
     /// Builds a timestamp from a civil GMT date and time.
     ///
     /// `month` is 1-based, `day` is 1-based. Dates before 1970 are not

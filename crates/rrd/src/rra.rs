@@ -135,6 +135,43 @@ impl Rra {
         Some(cdp)
     }
 
+    /// Feeds `n` copies of one PDP — what a gap of `n` whole steps
+    /// produces — and returns how many CDPs completed. Identical to `n`
+    /// calls of [`Rra::push_pdp`], bit for bit, in O(steps + rows)
+    /// instead of O(n): every CDP that starts and ends inside the run
+    /// has the same value, so only the last `rows` of them are written.
+    pub(crate) fn push_repeated(&mut self, pdp: f64, n: u64) -> u64 {
+        let steps = u64::from(self.steps);
+        // Finish the CDP already in progress one PDP at a time.
+        let lead = n.min(steps - u64::from(self.accum.total));
+        let mut completed = 0;
+        for _ in 0..lead {
+            completed += u64::from(self.push_pdp(pdp).is_some());
+        }
+        let rest = n - lead;
+        let whole = rest / steps;
+        if whole > 0 {
+            let mut accum = CdpAccum::default();
+            for _ in 0..steps {
+                accum.push(pdp);
+            }
+            let cdp = accum.finish(self.cf, self.xff);
+            // Past `rows` writes the ring holds only `cdp`, wherever
+            // its head stands.
+            let written = whole.min(self.rows as u64) as usize;
+            for _ in 0..written {
+                self.ring[self.head] = cdp;
+                self.head = (self.head + 1) % self.rows;
+            }
+            self.filled = (self.filled + written).min(self.rows);
+            completed += whole;
+        }
+        for _ in 0..rest % steps {
+            self.push_pdp(pdp);
+        }
+        completed
+    }
+
     /// Number of CDPs currently stored.
     pub fn len(&self) -> usize {
         self.filled

@@ -224,7 +224,17 @@ impl Rrd {
     }
 
     /// Applies an update with one raw value per data source.
+    ///
+    /// A gap of many steps costs O(steps · rows) per archive, not
+    /// O(gap): every whole step after the first carries the same rate,
+    /// so those PDPs are identical and go to the archives as one run.
     pub fn update(&mut self, t: Timestamp, values: &[f64]) -> Result<(), RrdError> {
+        self.advance(t, values, true)
+    }
+
+    /// [`Rrd::update`], with the closed-form catch-up switchable so the
+    /// tests can hold it against the one-PDP-at-a-time walk.
+    fn advance(&mut self, t: Timestamp, values: &[f64], catch_up: bool) -> Result<(), RrdError> {
         if t <= self.last_update {
             return Err(RrdError::TimeNotAdvancing { last: self.last_update, offered: t });
         }
@@ -257,7 +267,14 @@ impl Rrd {
             }
             cursor = seg_end;
             if cursor == self.pdp_end {
-                self.complete_pdp();
+                let pdps = self.complete_pdp();
+                // A whole step started from a fresh PDP: each further
+                // whole step before `t` repeats exactly these PDPs.
+                let repeats = (t - cursor) / self.step;
+                if catch_up && seg_len == self.step && repeats > 0 {
+                    self.fan_out(&pdps, repeats);
+                    cursor = cursor + repeats * self.step;
+                }
             }
         }
 
@@ -273,7 +290,9 @@ impl Rrd {
         self.update(t, &[value])
     }
 
-    fn complete_pdp(&mut self) {
+    /// Closes the current PDP of every source, feeds the archives and
+    /// returns the PDPs.
+    fn complete_pdp(&mut self) -> Vec<f64> {
         let step = self.step;
         let pdps: Vec<f64> = self
             .states
@@ -289,18 +308,23 @@ impl Rrd {
                 pdp
             })
             .collect();
-        for (idx, (_, rings)) in self.archives.iter_mut().enumerate() {
-            let mut completed = false;
-            for (ring, &pdp) in rings.iter_mut().zip(pdps.iter()) {
-                if ring.push_pdp(pdp).is_some() {
-                    completed = true;
-                }
+        self.fan_out(&pdps, 1);
+        pdps
+    }
+
+    /// Feeds `n` copies of one PDP per source to every archive and
+    /// moves the PDP boundary `n` steps on.
+    fn fan_out(&mut self, pdps: &[f64], n: u64) {
+        for ((_, rings), count) in self.archives.iter_mut().zip(&mut self.cdp_counts) {
+            // Every ring of an archive shares its steps, so all
+            // complete the same number of CDPs.
+            let mut completed = 0;
+            for (ring, &pdp) in rings.iter_mut().zip(pdps) {
+                completed = ring.push_repeated(pdp, n);
             }
-            if completed {
-                self.cdp_counts[idx] += 1;
-            }
+            *count += completed;
         }
-        self.pdp_end = self.pdp_end + self.step;
+        self.pdp_end = self.pdp_end + n * self.step;
     }
 
     /// End timestamp of the most recent completed CDP of archive `idx`.
@@ -1021,5 +1045,64 @@ mod tests {
         rrd.update_single(ts(120), 4.0).unwrap();
         let fetched = rrd.fetch(ConsolidationFn::Average, ts(0), ts(121)).unwrap();
         assert_eq!(fetched.points, [(ts(120), 4.0)]);
+    }
+
+    /// The depot's archive layouts (single, tiered, with extremes) on
+    /// small rings, plus a two-source database whose long-heartbeat
+    /// source keeps its rate known across a gap (the policy layouts'
+    /// gauges turn a long gap unknown).
+    fn gap_layouts(start: Timestamp, period: u64) -> Vec<Rrd> {
+        use crate::policy::ArchivePolicy;
+        let policy = ArchivePolicy::every_nth("gap", 2, 24 * period);
+        let tiered = policy.build_tiered(start, period, &[(3, 60 * period)]).unwrap();
+        let archives: Vec<ArchiveDef> = tiered.archives.iter().map(|(def, _)| *def).collect();
+        let sources = vec![
+            DataSource::gauge("known", 1_000_000 * period),
+            DataSource::gauge("value", 2 * period),
+        ];
+        vec![
+            policy.build(start, period).unwrap(),
+            tiered,
+            policy.clone().with_extremes().build(start, period).unwrap(),
+            Rrd::new(start, period, sources, archives).unwrap(),
+        ]
+    }
+
+    /// Seconds the longest ring of `rrd` spans.
+    fn ring_span(rrd: &Rrd) -> u64 {
+        let spans = rrd.archives.iter().map(|(def, _)| def.rows as u64 * def.steps as u64);
+        spans.max().unwrap() * rrd.step
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn gap_catch_up_dumps_byte_identical_to_the_stepwise_walk(
+            start in 1_000_000u64..1_000_600,
+            updates in proptest::collection::vec((0u64..5_001, -1e3f64..1e3, 0u8..8), 1..12),
+        ) {
+            let period = 600;
+            for (mut fast, mut oracle) in gap_layouts(ts(start), period)
+                .into_iter()
+                .zip(gap_layouts(ts(start), period))
+            {
+                let span = ring_span(&fast);
+                let mut t = start;
+                for &(gap_permille, value, pick) in &updates {
+                    // 0–5 ring spans; about a third of the gaps stay
+                    // within one step.
+                    t += 1 + match pick % 3 {
+                        0 => gap_permille % period,
+                        _ => gap_permille * span / 1_000,
+                    };
+                    let value = if pick == 7 { f64::NAN } else { value };
+                    let values = vec![value; fast.sources.len()];
+                    fast.advance(ts(t), &values, true).unwrap();
+                    oracle.advance(ts(t), &values, false).unwrap();
+                    proptest::prop_assert_eq!(fast.dump(), oracle.dump());
+                }
+            }
+        }
     }
 }

@@ -9,13 +9,14 @@
 //! address is the branch identifier. The envelope is forwarded to the
 //! depot."
 //!
-//! [`CentralizedController::submit`] is the transport-independent core
-//! (used directly by the simulation harness); [`serve_tcp`] wraps it in
-//! a thread-per-connection TCP accept loop for live deployments. The
-//! depot sits behind a reader-writer lock: submissions take the write
-//! side, while any number of query readers proceed concurrently — an
-//! improvement over the 2004 system, which serialized everything
-//! through its single Perl daemon.
+//! [`CentralizedController::submit_batch`] is the transport-independent
+//! core (the simulation harness drains each tick through it, and
+//! [`CentralizedController::submit`] is its one-element form);
+//! [`serve_tcp`] wraps it in a thread-per-connection TCP accept loop
+//! for live deployments. The depot sits behind a reader-writer lock:
+//! submissions take the write side, while any number of query readers
+//! proceed concurrently — an improvement over the 2004 system, which
+//! serialized everything through its single Perl daemon.
 //!
 //! [`serve_tcp`]: CentralizedController::serve_tcp
 
@@ -45,8 +46,9 @@ use crate::depot::depot::{Depot, DepotTiming};
 pub struct ControllerConfig {
     /// Hosts allowed to submit.
     pub allowlist: HostAllowlist,
-    /// How reports are packed for the depot (body = 2004 behaviour,
-    /// attachment = the §5.2.2 proposed optimization).
+    /// How reports are packed for the depot (body = the 2004 XML
+    /// envelope; binary = raw report bytes behind a small header, the
+    /// §5.2.2 proposed optimization carried out).
     pub envelope_mode: EnvelopeMode,
 }
 
@@ -153,10 +155,9 @@ impl CentralizedController {
         &self.obs
     }
 
-    /// Admission for one framed payload — allowlist, decode,
-    /// seq-dedup, and enveloping — shared by
-    /// [`CentralizedController::submit`] and
-    /// [`CentralizedController::submit_batch`]. A fresh admission
+    /// Admission for one framed payload of
+    /// [`CentralizedController::submit_batch`] — allowlist, decode,
+    /// seq-dedup, and enveloping. A fresh admission
     /// carries the encoded envelope plus the open `controller.accept`
     /// span (already joined to the message's trace); the caller
     /// finishes the span once the depot outcome is known, and must
@@ -218,7 +219,8 @@ impl CentralizedController {
         }
     }
 
-    /// Processes one framed client payload from `peer_host`.
+    /// Processes one framed client payload from `peer_host`: a
+    /// one-element [`CentralizedController::submit_batch`].
     ///
     /// Returns the response to send back plus the depot timing when the
     /// submission was accepted.
@@ -228,48 +230,22 @@ impl CentralizedController {
         payload: &[u8],
         now: Timestamp,
     ) -> (ServerResponse, Option<DepotTiming>) {
-        let (bytes, span, origin) = match self.admit(peer_host, payload) {
-            Admission::Fresh(bytes, span, origin) => (bytes, span, origin),
-            Admission::Duplicate => return (ServerResponse::Ack, None),
-            Admission::Rejected(response) => return (response, None),
-        };
-        // Writes serialize through the depot's write lock, as in the
-        // paper (reads share the lock); the gauge tracks how many
-        // submissions are queued on it.
-        self.queue_depth.add(1.0);
-        let result = {
-            let mut depot = self.depot.write();
-            depot.receive(&bytes, now)
-        };
-        self.queue_depth.sub(1.0);
-        match result {
-            Ok(timing) => {
-                self.accepted.inc();
-                span.finish();
-                (ServerResponse::Ack, Some(timing))
-            }
-            Err(e) => {
-                self.forget_origin(&origin);
-                self.rejected_depot.inc();
-                span.severity(Severity::Warn).field("rejected", "depot").finish();
-                (ServerResponse::Rejected(e.to_string()), None)
-            }
-        }
+        self.submit_batch(&[(peer_host, payload)], now).pop().expect("one result per submission")
     }
 
     /// Processes a burst of `(peer_host, payload)` submissions in one
     /// depot pass, returning one response per submission in order.
     ///
-    /// Admission (allowlist, decode, per-message accept span and
-    /// counters) is identical to [`CentralizedController::submit`];
-    /// the depot lock is taken **once** and every admitted report is
-    /// spliced by a single [`Depot::receive_batch`] — the amortization
-    /// the paper's §5.2.2 scalability analysis calls for. The
-    /// simulation engine drains each tick's reporter output through
-    /// here.
+    /// Each submission is admitted on its own (allowlist, decode, seq
+    /// dedup, accept span and counters); the depot lock is then taken
+    /// **once** and every admitted report is spliced by a single
+    /// [`Depot::receive_batch`] — the amortization the paper's §5.2.2
+    /// scalability analysis calls for. A burst with nothing admitted
+    /// skips the depot. The simulation engine drains each tick's
+    /// reporter output through here, and the reactor each pass's frames.
     pub fn submit_batch(
         &self,
-        submissions: &[(String, Vec<u8>)],
+        submissions: &[(impl AsRef<str>, impl AsRef<[u8]>)],
         now: Timestamp,
     ) -> Vec<(ServerResponse, Option<DepotTiming>)> {
         let mut results: Vec<Option<(ServerResponse, Option<DepotTiming>)>> =
@@ -278,7 +254,7 @@ impl CentralizedController {
             Vec::new();
         let mut batch: Vec<Vec<u8>> = Vec::new();
         for (index, (peer_host, payload)) in submissions.iter().enumerate() {
-            match self.admit(peer_host, payload) {
+            match self.admit(peer_host.as_ref(), payload.as_ref()) {
                 Admission::Fresh(bytes, span, origin) => {
                     admitted.push((index, span, origin));
                     batch.push(bytes);
@@ -289,26 +265,28 @@ impl CentralizedController {
                 Admission::Rejected(response) => results[index] = Some((response, None)),
             }
         }
-        self.queue_depth.add(batch.len() as f64);
-        let outcomes = {
-            let mut depot = self.depot.write();
-            depot.receive_batch(&batch, now)
-        };
-        self.queue_depth.sub(batch.len() as f64);
-        for ((index, span, origin), outcome) in admitted.into_iter().zip(outcomes) {
-            results[index] = Some(match outcome {
-                Ok(timing) => {
-                    self.accepted.inc();
-                    span.finish();
-                    (ServerResponse::Ack, Some(timing))
-                }
-                Err(e) => {
-                    self.forget_origin(&origin);
-                    self.rejected_depot.inc();
-                    span.severity(Severity::Warn).field("rejected", "depot").finish();
-                    (ServerResponse::Rejected(e.to_string()), None)
-                }
-            });
+        if !batch.is_empty() {
+            // Writes serialize through the depot's write lock, as in
+            // the paper (reads share the lock); the gauge tracks how
+            // many submissions are queued on it.
+            self.queue_depth.add(batch.len() as f64);
+            let outcomes = self.depot.write().receive_batch(&batch, now);
+            self.queue_depth.sub(batch.len() as f64);
+            for ((index, span, origin), outcome) in admitted.into_iter().zip(outcomes) {
+                results[index] = Some(match outcome {
+                    Ok(timing) => {
+                        self.accepted.inc();
+                        span.finish();
+                        (ServerResponse::Ack, Some(timing))
+                    }
+                    Err(e) => {
+                        self.forget_origin(&origin);
+                        self.rejected_depot.inc();
+                        span.severity(Severity::Warn).field("rejected", "depot").finish();
+                        (ServerResponse::Rejected(e.to_string()), None)
+                    }
+                });
+            }
         }
         results
             .into_iter()
@@ -474,13 +452,7 @@ fn handle_connection(
             Ok(m) => m.resource,
             Err(_) => String::new(),
         };
-        let now = Timestamp::from_secs(
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_secs())
-                .unwrap_or(0),
-        );
-        let (response, _) = controller.submit(&peer_host, &payload, now);
+        let (response, _) = controller.submit(&peer_host, &payload, Timestamp::now());
         write_frame(&mut stream, &response.encode())?;
         stream.flush()?;
     }

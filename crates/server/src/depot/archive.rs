@@ -395,6 +395,26 @@ mod tests {
     }
 
     #[test]
+    fn ingest_catches_up_across_a_22_year_gap() {
+        // A depot restored from a 2004 snapshot and then fed wall-clock
+        // reports: the first update spans ~190k hourly steps.
+        let mut store = ArchiveStore::new();
+        store.add_rule(bandwidth_rule());
+        let t0 = Timestamp::from_gmt(2004, 7, 7, 0, 0, 0);
+        let t1 = Timestamp::from_gmt(2026, 7, 7, 0, 0, 0);
+        assert_eq!(store.ingest(&branch(), &bandwidth_report(980.0, t0), t0), 1);
+        assert_eq!(store.ingest(&branch(), &bandwidth_report(990.0, t1), t1), 1);
+        let t2 = t1 + 3_600;
+        assert_eq!(store.ingest(&branch(), &bandwidth_report(995.0, t2), t2), 1);
+        let f = store
+            .fetch_rule_series("bandwidth", &branch(), ConsolidationFn::Average, t1 - 86_400, t2)
+            .unwrap();
+        // The gap is unknown; the first hour after it is known again.
+        assert_eq!(f.points.len(), 25);
+        assert_eq!(f.known_points().collect::<Vec<_>>(), [(t2, 995.0)]);
+    }
+
+    #[test]
     fn non_matching_branch_ignored() {
         let mut store = ArchiveStore::new();
         store.add_rule(bandwidth_rule());

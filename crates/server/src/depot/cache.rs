@@ -262,14 +262,16 @@ impl XmlCache {
 
     /// Inserts or replaces `items.len()` reports in one pass.
     ///
-    /// This is the §5.2.2 amortization: [`XmlCache::update`] streams
-    /// the whole document once *per report*, so a burst of N arrivals
-    /// costs O(N × cache). `insert_batch` streams the document exactly
-    /// once to index every splice point, then rebuilds the string
-    /// exactly once — O(N + cache) — while producing a document
-    /// **byte-identical** to applying the same updates sequentially
-    /// (the `batch_matches_sequential` property test holds this
-    /// equivalence).
+    /// This is the §5.2.2 amortization: [`XmlCache::update`] finds its
+    /// splice point in the branch index but still rebuilds the whole
+    /// document string once *per report*, so a burst of N arrivals
+    /// costs O(N × cache). `insert_batch` takes every splice point from
+    /// the index and rebuilds the string exactly once — O(N + cache) —
+    /// while producing a document **byte-identical** to applying the
+    /// same updates sequentially (the `batch_matches_sequential`
+    /// property test holds this equivalence). A one-item batch goes
+    /// straight to [`XmlCache::update`]: the per-report splice Figure 9
+    /// measures is cheaper than the general rebuild for one report.
     ///
     /// Duplicate branches within one batch behave like sequential
     /// updates: the report lands where the first occurrence would have

@@ -147,13 +147,6 @@ impl fmt::Display for CacheDocument<'_> {
 }
 
 impl CacheStore {
-    fn update(&mut self, branch: &BranchId, xml: &str) -> Result<(), CacheError> {
-        match self {
-            CacheStore::Splice(c) => c.update(branch, xml),
-            CacheStore::Rope(c) => c.update(branch, xml),
-        }
-    }
-
     fn insert_batch(&mut self, items: &[(&BranchId, &str)]) -> Result<(), CacheError> {
         match self {
             CacheStore::Splice(c) => c.insert_batch(items),
@@ -360,95 +353,32 @@ impl Depot {
     }
 
     /// Receives one encoded envelope at (virtual) time `now`,
-    /// returning the measured timing decomposition.
-    ///
-    /// Binary frames take the zero-copy path: the report bytes are
-    /// borrowed straight out of the payload (structurally skimmed, not
-    /// parsed) and spliced into the cache; XML materialization waits
-    /// until an archive rule or query actually needs the report tree.
-    pub fn receive(&mut self, envelope_bytes: &[u8], now: Timestamp) -> Result<DepotTiming, DepotError> {
-        let span = self.obs.span("depot.insert").field("bytes", envelope_bytes.len());
-        let t0 = Instant::now();
-        let envelope = match EnvelopeView::decode(envelope_bytes) {
-            Ok(e) => e,
-            Err(e) => {
-                span.severity(Severity::Warn).field("error", &e).finish();
-                return Err(e.into());
-            }
-        };
-        // Join the report's trace if the envelope carried one; the
-        // archive leg re-parents on this insert span.
-        let mut span = span.field("branch", &envelope.address);
-        if let Some(ctx) = envelope.trace {
-            span = span.trace_ctx(ctx);
-        }
-        let archive_ctx = span.child_ctx();
-        let trace_id = envelope.trace.map_or(0, |ctx| ctx.trace_id);
-        let t1 = Instant::now();
-        if let Err(e) = self.cache.update(&envelope.address, &envelope.report_xml) {
-            span.severity(Severity::Error).field("error", &e).finish();
-            return Err(e.into());
-        }
-        let t2 = Instant::now();
-        // Archival: only if some rule matches does the report get
-        // re-parsed for value extraction.
-        if self
-            .archive
-            .rules()
-            .iter()
-            .any(|r| envelope.address.matches_suffix(&r.query))
-        {
-            let mut archive_span =
-                self.obs.span("depot.archive.write").field("branch", &envelope.address);
-            if let Some(ctx) = archive_ctx {
-                archive_span = archive_span.trace_ctx(ctx);
-            }
-            if let Ok(report) = Report::parse(&envelope.report_xml) {
-                let ingested = self.archive.ingest(&envelope.address, &report, now);
-                archive_span.field("series", ingested).finish();
-            }
-        }
-        let t3 = Instant::now();
-        let timing = DepotTiming {
-            unpack: t1 - t0,
-            insert: t2 - t1,
-            archive: t3 - t2,
-            report_size: envelope.report_xml.len(),
-        };
-        self.stats
-            .record(timing.report_size, timing.response().as_secs_f64());
-        // Exemplars tie the aggregate latency back to one concrete
-        // trace (a no-op when the envelope carried no context).
-        self.unpack_hist.observe_duration_with_exemplar(timing.unpack, trace_id);
-        self.insert_hist.observe_duration_with_exemplar(timing.insert, trace_id);
-        if self.cache.maybe_compact() {
-            self.compactions.inc();
-        }
-        self.cache_bytes.set(self.cache.size_bytes() as f64);
-        self.cache_reports.set(self.cache.report_count() as f64);
-        self.arena_bytes.set(self.cache.arena_bytes() as f64);
-        span.field("size", timing.report_size)
-            .field("cache_bytes", self.cache.size_bytes())
-            .finish();
-        Ok(timing)
+    /// returning the measured timing decomposition: a one-element
+    /// [`Depot::receive_batch`].
+    pub fn receive(&mut self, envelope: &[u8], now: Timestamp) -> Result<DepotTiming, DepotError> {
+        self.receive_batch(&[envelope], now).pop().expect("one result per envelope")
     }
 
     /// Receives a burst of encoded envelopes at (virtual) time `now`,
-    /// returning one timing/error per envelope in input order.
+    /// returning one timing/error per envelope in input order. Every
+    /// depot ingest, single or burst, goes through here.
     ///
-    /// Per-report behaviour — validation, trace lineage (each accepted
-    /// report still gets its own `depot.insert` span joined on the
-    /// envelope's trace), archival, and response statistics — matches
-    /// N calls to [`Depot::receive`]. The difference is the splice:
-    /// the whole batch goes through [`XmlCache::insert_batch`], which
-    /// streams the cache document **once**, so the per-tick cost drops
-    /// from O(batch × cache) to O(batch + cache). Each report's
-    /// [`DepotTiming::insert`] is its amortized share of that single
-    /// pass. A decode failure rejects only that envelope; a cache
-    /// failure (corruption) rejects the batch without mutating.
+    /// Each envelope gets its own validation, `depot.insert` span
+    /// (joined on the envelope's trace), archival and response
+    /// statistics; the batch gets one `depot.insert_batch` span and one
+    /// sample in each batch histogram. Binary frames take the zero-copy
+    /// path: the report bytes are borrowed straight out of the payload
+    /// (structurally skimmed, not parsed); XML materialization waits
+    /// until an archive rule or query needs the report tree. The whole
+    /// batch is spliced by one [`XmlCache::insert_batch`] (or rope)
+    /// call, which rebuilds the splice document **once**: O(batch +
+    /// cache) per tick instead of O(batch × cache). Each report's
+    /// [`DepotTiming::insert`] is its amortized share of that pass. A
+    /// decode failure rejects only that envelope; a cache failure
+    /// (corruption) rejects the batch without mutating.
     pub fn receive_batch(
         &mut self,
-        envelopes: &[Vec<u8>],
+        envelopes: &[impl AsRef<[u8]>],
         now: Timestamp,
     ) -> Vec<Result<DepotTiming, DepotError>> {
         struct Pending<'a> {
@@ -459,7 +389,7 @@ impl Depot {
             archive_ctx: Option<TraceContext>,
             trace_id: u64,
         }
-        let total_bytes: usize = envelopes.iter().map(Vec::len).sum();
+        let total_bytes: usize = envelopes.iter().map(|e| e.as_ref().len()).sum();
         let batch_span = self
             .obs
             .span("depot.insert_batch")
@@ -469,13 +399,15 @@ impl Depot {
             (0..envelopes.len()).map(|_| None).collect();
         let mut accepted: Vec<Pending> = Vec::with_capacity(envelopes.len());
         for (index, bytes) in envelopes.iter().enumerate() {
+            let bytes = bytes.as_ref();
             let span = self.obs.span("depot.insert").field("bytes", bytes.len());
             let t0 = Instant::now();
             match EnvelopeView::decode(bytes) {
                 Ok(envelope) => {
                     let unpack = t0.elapsed();
-                    let mut span =
-                        span.field("branch", &envelope.address).field("batched", true);
+                    // Join the report's trace if the envelope carried
+                    // one; the archive leg re-parents on this span.
+                    let mut span = span.field("branch", &envelope.address);
                     if let Some(ctx) = envelope.trace {
                         span = span.trace_ctx(ctx);
                     }
@@ -508,10 +440,11 @@ impl Depot {
             return results.into_iter().map(|r| r.expect("every envelope resolved")).collect();
         }
         let accepted_count = accepted.len();
+        let cache_bytes = self.cache.size_bytes();
         let amortized = insert_total
             .checked_div(accepted_count.max(1) as u32)
             .unwrap_or(Duration::ZERO);
-        // Per-report archival and accounting, as the sequential path.
+        // Per-report archival and accounting.
         for pending in accepted {
             let Pending { index, envelope, unpack, span, archive_ctx, trace_id } = pending;
             let t2 = Instant::now();
@@ -541,7 +474,7 @@ impl Depot {
                 .record(timing.report_size, timing.response().as_secs_f64());
             self.unpack_hist.observe_duration_with_exemplar(timing.unpack, trace_id);
             self.insert_hist.observe_duration_with_exemplar(timing.insert, trace_id);
-            span.field("size", timing.report_size).finish();
+            span.field("size", timing.report_size).field("cache_bytes", cache_bytes).finish();
             results[index] = Some(Ok(timing));
         }
         self.batch_size_hist.observe(accepted_count as f64);
@@ -549,13 +482,10 @@ impl Depot {
         if self.cache.maybe_compact() {
             self.compactions.inc();
         }
-        self.cache_bytes.set(self.cache.size_bytes() as f64);
+        self.cache_bytes.set(cache_bytes as f64);
         self.cache_reports.set(self.cache.report_count() as f64);
         self.arena_bytes.set(self.cache.arena_bytes() as f64);
-        batch_span
-            .field("accepted", accepted_count)
-            .field("cache_bytes", self.cache.size_bytes())
-            .finish();
+        batch_span.field("accepted", accepted_count).field("cache_bytes", cache_bytes).finish();
         results.into_iter().map(|r| r.expect("every envelope resolved")).collect()
     }
 
@@ -702,9 +632,29 @@ mod tests {
             .receive(&envelope_bytes("reporter=a,vo=tg", "1", EnvelopeMode::Body), t)
             .unwrap();
         depot
-            .receive(&envelope_bytes("reporter=b,vo=tg", "2", EnvelopeMode::Attachment), t)
+            .receive(&envelope_bytes("reporter=b,vo=tg", "2", EnvelopeMode::Binary), t)
             .unwrap();
         assert_eq!(depot.cache().report_count(), 2);
+    }
+
+    #[test]
+    fn single_receive_is_a_one_element_batch() {
+        use inca_obs::sinks::RingSink;
+        let obs = Obs::new();
+        let ring = Arc::new(RingSink::new(16));
+        obs.tracer().add_sink(ring.clone());
+        let mut depot = Depot::with_obs(obs.clone());
+        let t = Timestamp::from_secs(1_000);
+        depot.receive(&envelope_bytes("reporter=r,vo=tg", "1", EnvelopeMode::Body), t).unwrap();
+        let events = ring.drain();
+        let names: Vec<&str> = events.iter().map(|e| e.name).collect();
+        assert_eq!(names.iter().filter(|n| **n == "depot.insert_batch").count(), 1);
+        assert_eq!(names.iter().filter(|n| **n == "depot.insert").count(), 1);
+        for name in ["inca_depot_batch_size", "inca_depot_batch_insert_seconds"] {
+            assert_eq!(obs.metrics().histogram_of(name, &[]).unwrap().count(), 1, "{name}");
+        }
+        let sizes = obs.metrics().histogram_of("inca_depot_batch_size", &[]).unwrap();
+        assert_eq!(sizes.sum(), 1.0);
     }
 
     #[test]
@@ -800,7 +750,7 @@ mod tests {
                 envelope_bytes(
                     &format!("reporter=r{},resource=m{},vo=tg", i % 20, i % 4),
                     &i.to_string(),
-                    if i % 2 == 0 { EnvelopeMode::Body } else { EnvelopeMode::Attachment },
+                    if i % 2 == 0 { EnvelopeMode::Body } else { EnvelopeMode::Binary },
                 )
             })
             .collect();

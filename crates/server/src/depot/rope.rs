@@ -71,10 +71,12 @@ struct Node {
 
 /// Arena-backed rope representation of the depot cache.
 ///
-/// Mirrors the [`XmlCache`] API (`update`, `insert_batch`, `subtree`,
-/// `reports`, `report_exact`, `from_document`, `generation`) with the
-/// same semantics — including generation-bump behaviour, batch dedup
-/// (last content wins) and canonical document order — but with O(report)
+/// Mirrors the [`XmlCache`] API the depot drives (`insert_batch`,
+/// `subtree`, `reports`, `report_exact`, `document`, `from_document`,
+/// `generation`, `size_bytes`, `report_count`), plus the one-report
+/// `update` the rope-vs-splice oracles and benches use, with the same
+/// semantics — including generation-bump behaviour, batch dedup (last
+/// content wins) and canonical document order — but with O(report)
 /// writes. `document()` returns an `Arc<String>` because the string is
 /// materialized lazily and shared between readers at the same
 /// generation.

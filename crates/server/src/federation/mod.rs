@@ -182,34 +182,27 @@ impl Federation {
         self.map.route(branch)
     }
 
-    /// Routes one framed submission to the owning partition.
-    ///
-    /// The payload is decoded *only* to learn its branch; the owning
-    /// controller re-runs full admission (allowlist, dedup, envelope)
-    /// on the original bytes. An undecodable payload is rejected here
-    /// — there is no partition it could belong to.
+    /// Routes one framed submission to the owning partition: a
+    /// one-element [`Federation::submit_batch`].
     pub fn submit(
         &self,
         peer_host: &str,
         payload: &[u8],
         now: Timestamp,
     ) -> (ServerResponse, Option<DepotTiming>) {
-        let message = match ClientMessage::decode(payload) {
-            Ok(m) => m,
-            Err(e) => return (ServerResponse::Rejected(format!("unroutable: {e}")), None),
-        };
-        let partition = self.map.route(&message.branch);
-        let controller = &self.depots[partition];
-        let result = controller.submit(peer_host, payload, now);
-        self.sync_gauges();
-        result
+        self.submit_batch(&[(peer_host, payload)], now).pop().expect("one result per submission")
     }
 
     /// Routes a burst of `(peer_host, payload)` submissions, one depot
     /// batch per owning partition, returning responses in input order.
+    ///
+    /// Each payload is decoded *only* to learn its branch; the owning
+    /// controller re-runs full admission (allowlist, dedup, envelope)
+    /// on the original bytes. An undecodable payload is rejected here
+    /// — there is no partition it could belong to.
     pub fn submit_batch(
         &self,
-        submissions: &[(String, Vec<u8>)],
+        submissions: &[(impl AsRef<str>, impl AsRef<[u8]>)],
         now: Timestamp,
     ) -> Vec<(ServerResponse, Option<DepotTiming>)> {
         let mut results: Vec<Option<(ServerResponse, Option<DepotTiming>)>> =
@@ -218,7 +211,7 @@ impl Federation {
         // group; BTreeMap keeps the partition visit order stable.
         let mut groups: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
         for (index, (_, payload)) in submissions.iter().enumerate() {
-            match ClientMessage::decode(payload) {
+            match ClientMessage::decode(payload.as_ref()) {
                 Ok(message) => {
                     groups.entry(self.map.route(&message.branch)).or_default().push(index)
                 }
@@ -229,8 +222,10 @@ impl Federation {
             }
         }
         for (partition, indices) in groups {
-            let batch: Vec<(String, Vec<u8>)> =
-                indices.iter().map(|&i| submissions[i].clone()).collect();
+            let batch: Vec<(&str, &[u8])> = indices
+                .iter()
+                .map(|&i| (submissions[i].0.as_ref(), submissions[i].1.as_ref()))
+                .collect();
             let outcomes = self.depots[partition].submit_batch(&batch, now);
             for (index, outcome) in indices.into_iter().zip(outcomes) {
                 results[index] = Some(outcome);
@@ -641,7 +636,7 @@ mod tests {
         assert!(matches!(response, ServerResponse::Rejected(_)));
         assert!(timing.is_none());
         let results =
-            fed.submit_batch(&[("h".into(), b"junk".to_vec())], Timestamp::from_secs(0));
+            fed.submit_batch(&[("h", b"junk")], Timestamp::from_secs(0));
         assert!(matches!(results[0].0, ServerResponse::Rejected(_)));
     }
 }

@@ -619,17 +619,9 @@ impl Reactor {
     /// Submits every frame of the pass as one controller batch, stages
     /// the replies, and flushes what the sockets will take.
     fn process_batch(&mut self, pending: Vec<PendingFrame>) {
-        let now = Timestamp::from_secs(
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_secs())
-                .unwrap_or(0),
-        );
-        let submissions: Vec<(String, Vec<u8>)> = pending
-            .iter()
-            .map(|f| (f.resource.clone(), f.payload.clone()))
-            .collect();
-        let results = self.controller.submit_batch(&submissions, now);
+        let submissions: Vec<(&str, &[u8])> =
+            pending.iter().map(|f| (f.resource.as_str(), &f.payload[..])).collect();
+        let results = self.controller.submit_batch(&submissions, Timestamp::now());
         // A connection can contribute frames non-contiguously (backlog
         // frames first, this pass's reads later), so collect into a set
         // to flush and recompute interest exactly once per connection.

@@ -10,21 +10,20 @@
 //! "as SOAP attachment rather than in the body of the SOAP envelope in
 //! order to speed up the unpacking process".
 //!
-//! All modes are implemented so the ablation bench can quantify the
+//! Both modes are implemented so the ablation bench can quantify the
 //! saving:
 //!
 //! * [`EnvelopeMode::Body`] — the report is escaped into the envelope
 //!   body; unpacking must unescape it and re-parse/validate the result
 //!   (cost ∝ report size, as measured in Figure 9).
-//! * [`EnvelopeMode::Attachment`] — the envelope carries only the
-//!   address and a length; the report rides behind the envelope as raw
-//!   bytes and unpacking is a cheap slice.
-//! * [`EnvelopeMode::Binary`] — the [`crate::binframe`] section format:
-//!   the decoder borrows the report bytes straight out of the payload
-//!   (zero copy) and defers XML parsing entirely; see [`EnvelopeView`].
+//! * [`EnvelopeMode::Binary`] — the [`crate::binframe`] section format,
+//!   which carries out the §5.2.2 proposal: the raw report bytes ride
+//!   behind a small header, and the decoder borrows them straight out
+//!   of the payload (zero copy), deferring XML parsing entirely; see
+//!   [`EnvelopeView`].
 //!
 //! Negotiation is per payload: a binary frame announces itself with a
-//! magic byte no XML document can start with, so a single receive path
+//! magic byte no XML document can start with, so a single decoder
 //! ([`EnvelopeView::decode`]) handles mixed traffic.
 
 use std::borrow::Cow;
@@ -41,11 +40,9 @@ use crate::message::WireError;
 pub enum EnvelopeMode {
     /// Report escaped into the envelope body (2004 behaviour).
     Body,
-    /// Report attached as raw bytes after the envelope (the paper's
-    /// proposed optimization).
-    Attachment,
-    /// Report framed as binary sections with zero-copy decode (the
-    /// post-paper fast path; see [`crate::binframe`]).
+    /// Report framed as raw bytes behind binary section headers, with
+    /// zero-copy decode (the paper's proposed optimization; see
+    /// [`crate::binframe`]).
     Binary,
 }
 
@@ -62,9 +59,6 @@ pub struct Envelope {
     pub trace: Option<TraceContext>,
 }
 
-/// Separator between the XML header and the raw attachment bytes.
-const ATTACHMENT_SEP: u8 = 0;
-
 impl Envelope {
     /// Creates an envelope around an already-serialized report.
     pub fn new(address: BranchId, report_xml: impl Into<String>) -> Envelope {
@@ -79,28 +73,16 @@ impl Envelope {
 
     /// Packs the envelope for the wire in the given mode.
     pub fn encode(&self, mode: EnvelopeMode) -> Vec<u8> {
-        let trace_attr = match self.trace {
-            Some(ctx) => format!(" trace=\"{ctx}\""),
-            None => String::new(),
-        };
         match mode {
-            EnvelopeMode::Body => format!(
-                "<soapEnvelope mode=\"body\"{trace_attr}><address>{}</address><body>{}</body></soapEnvelope>",
-                escape_text(&self.address.to_string()),
-                escape_text(&self.report_xml),
-            )
-            .into_bytes(),
-            EnvelopeMode::Attachment => {
-                let header = format!(
-                    "<soapEnvelope mode=\"attachment\" length=\"{}\"{trace_attr}><address>{}</address></soapEnvelope>",
-                    self.report_xml.len(),
+            EnvelopeMode::Body => {
+                let trace_attr =
+                    self.trace.map_or(String::new(), |ctx| format!(" trace=\"{ctx}\""));
+                format!(
+                    "<soapEnvelope mode=\"body\"{trace_attr}><address>{}</address><body>{}</body></soapEnvelope>",
                     escape_text(&self.address.to_string()),
-                );
-                let mut out = Vec::with_capacity(header.len() + 1 + self.report_xml.len());
-                out.extend_from_slice(header.as_bytes());
-                out.push(ATTACHMENT_SEP);
-                out.extend_from_slice(self.report_xml.as_bytes());
-                out
+                    escape_text(&self.report_xml),
+                )
+                .into_bytes()
             }
             EnvelopeMode::Binary => binframe::encode_binary(
                 &self.address.to_string(),
@@ -110,95 +92,15 @@ impl Envelope {
         }
     }
 
-    /// Unpacks an envelope, validating the contained report.
-    ///
-    /// In body mode this is the expensive path the paper measured: the
-    /// whole envelope is tokenized, the body unescaped, and the inner
-    /// report re-parsed for validation. In attachment mode only the
-    /// small header is parsed and the report is sliced out; the report
-    /// is still validated once (the depot must not cache garbage), but
-    /// no unescape pass is needed.
+    /// Unpacks an envelope into an owned copy, validating the
+    /// contained report completely: [`EnvelopeView::decode`] plus a
+    /// full parse of a binary frame's report (the view only skims it).
     pub fn decode(payload: &[u8]) -> Result<Envelope, WireError> {
-        // Binary frames announce themselves with a magic byte that
-        // cannot begin UTF-8 text; check before the NUL scan below
-        // (binary section bodies may legitimately contain NULs).
-        if binframe::is_binary_frame(payload) {
-            let frame = binframe::decode_binary(payload)?;
-            let address: BranchId =
-                frame.address.parse().map_err(|e| WireError::BadBranch(format!("{e}")))?;
-            let report_xml = std::str::from_utf8(frame.report)
-                .map_err(|e| WireError::Malformed(format!("report not UTF-8: {e}")))?
-                .to_string();
-            Report::parse(&report_xml).map_err(|e| WireError::BadReport(e.to_string()))?;
-            return Ok(Envelope { address, report_xml, trace: frame.trace });
+        let view = EnvelopeView::decode(payload)?;
+        if !view.validated {
+            Report::parse(&view.report_xml).map_err(|e| WireError::BadReport(e.to_string()))?;
         }
-
-        // Attachment frames contain a NUL separator which never occurs
-        // in XML text; use it to split header from raw content.
-        if let Some(sep) = payload.iter().position(|&b| b == ATTACHMENT_SEP) {
-            let header = std::str::from_utf8(&payload[..sep])
-                .map_err(|e| WireError::Malformed(format!("header not UTF-8: {e}")))?;
-            let root = Element::parse(header)?;
-            Self::expect_envelope(&root, "attachment")?;
-            let address = Self::address_of(&root)?;
-            let declared: usize = root
-                .attribute("length")
-                .and_then(|l| l.parse().ok())
-                .ok_or_else(|| WireError::Malformed("missing/invalid length".into()))?;
-            let content = &payload[sep + 1..];
-            if content.len() != declared {
-                return Err(WireError::Malformed(format!(
-                    "attachment length mismatch: declared {declared}, found {}",
-                    content.len()
-                )));
-            }
-            let report_xml = std::str::from_utf8(content)
-                .map_err(|e| WireError::Malformed(format!("attachment not UTF-8: {e}")))?
-                .to_string();
-            Report::parse(&report_xml).map_err(|e| WireError::BadReport(e.to_string()))?;
-            return Ok(Envelope { address, report_xml, trace: Self::trace_of(&root) });
-        }
-
-        let text = std::str::from_utf8(payload)
-            .map_err(|e| WireError::Malformed(format!("not UTF-8: {e}")))?;
-        let root = Element::parse(text)?;
-        Self::expect_envelope(&root, "body")?;
-        let address = Self::address_of(&root)?;
-        let report_xml = root
-            .child_text("body")
-            .ok_or_else(|| WireError::Malformed("missing <body>".into()))?;
-        Report::parse(&report_xml).map_err(|e| WireError::BadReport(e.to_string()))?;
-        Ok(Envelope { address, report_xml, trace: Self::trace_of(&root) })
-    }
-
-    /// Trace context from the optional `trace` attribute. Diagnostic
-    /// metadata only: a mangled value degrades to `None`, it never
-    /// rejects the envelope.
-    fn trace_of(root: &Element) -> Option<TraceContext> {
-        root.attribute("trace").and_then(|t| t.parse().ok())
-    }
-
-    fn expect_envelope(root: &Element, mode: &str) -> Result<(), WireError> {
-        if root.name != "soapEnvelope" {
-            return Err(WireError::Malformed(format!(
-                "expected <soapEnvelope>, found <{}>",
-                root.name
-            )));
-        }
-        match root.attribute("mode") {
-            Some(m) if m == mode => Ok(()),
-            Some(m) => Err(WireError::Malformed(format!(
-                "envelope mode mismatch: frame looks like {mode:?} but declares {m:?}"
-            ))),
-            None => Err(WireError::Malformed("envelope missing mode attribute".into())),
-        }
-    }
-
-    fn address_of(root: &Element) -> Result<BranchId, WireError> {
-        let text = root
-            .child_text("address")
-            .ok_or_else(|| WireError::Malformed("missing <address>".into()))?;
-        text.parse().map_err(|e| WireError::BadBranch(format!("{e}")))
+        Ok(view.into_envelope())
     }
 }
 
@@ -208,8 +110,9 @@ impl Envelope {
 /// is a borrowed slice of the incoming payload, checked only by a
 /// structural skim ([`inca_xml::skim_balanced`]: balanced tags, root is
 /// `<incaReport>`) — full parsing is deferred to archive/query time.
-/// XML envelopes fall back to [`Envelope::decode`], which validates the
-/// report completely and owns its string.
+/// XML envelopes are the expensive path the paper measured: the whole
+/// envelope is tokenized, the body unescaped into an owned string, and
+/// the inner report re-parsed for validation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnvelopeView<'a> {
     /// The branch identifier — "the envelope address".
@@ -226,7 +129,7 @@ pub struct EnvelopeView<'a> {
 
 impl<'a> EnvelopeView<'a> {
     /// Decodes any supported frame, borrowing report bytes from binary
-    /// frames and falling back to the XML envelope decoder otherwise.
+    /// frames and unpacking the XML body envelope otherwise.
     pub fn decode(payload: &'a [u8]) -> Result<EnvelopeView<'a>, WireError> {
         if binframe::is_binary_frame(payload) {
             let frame = binframe::decode_binary(payload)?;
@@ -250,11 +153,37 @@ impl<'a> EnvelopeView<'a> {
                 validated: false,
             });
         }
-        let env = Envelope::decode(payload)?;
+        let text = std::str::from_utf8(payload)
+            .map_err(|e| WireError::Malformed(format!("not UTF-8: {e}")))?;
+        let root = Element::parse(text)?;
+        if root.name != "soapEnvelope" {
+            return Err(WireError::Malformed(format!(
+                "expected <soapEnvelope>, found <{}>",
+                root.name
+            )));
+        }
+        match root.attribute("mode") {
+            Some("body") => {}
+            Some(m) => {
+                return Err(WireError::Malformed(format!("unsupported envelope mode {m:?}")))
+            }
+            None => return Err(WireError::Malformed("envelope missing mode attribute".into())),
+        }
+        let address: BranchId = root
+            .child_text("address")
+            .ok_or_else(|| WireError::Malformed("missing <address>".into()))?
+            .parse()
+            .map_err(|e| WireError::BadBranch(format!("{e}")))?;
+        let report_xml = root
+            .child_text("body")
+            .ok_or_else(|| WireError::Malformed("missing <body>".into()))?;
+        Report::parse(&report_xml).map_err(|e| WireError::BadReport(e.to_string()))?;
         Ok(EnvelopeView {
-            address: env.address,
-            report_xml: Cow::Owned(env.report_xml),
-            trace: env.trace,
+            address,
+            report_xml: Cow::Owned(report_xml),
+            // Diagnostic metadata only: a mangled trace attribute
+            // degrades to `None`, it never rejects the envelope.
+            trace: root.attribute("trace").and_then(|t| t.parse().ok()),
             validated: true,
         })
     }
@@ -290,13 +219,6 @@ mod tests {
     fn body_mode_roundtrip() {
         let env = sample();
         let decoded = Envelope::decode(&env.encode(EnvelopeMode::Body)).unwrap();
-        assert_eq!(decoded, env);
-    }
-
-    #[test]
-    fn attachment_mode_roundtrip() {
-        let env = sample();
-        let decoded = Envelope::decode(&env.encode(EnvelopeMode::Attachment)).unwrap();
         assert_eq!(decoded, env);
     }
 
@@ -342,7 +264,7 @@ mod tests {
     fn trace_context_roundtrips_in_both_modes() {
         let ctx = TraceContext { trace_id: 0xfeed, parent_span_id: 0x42 };
         let env = sample().with_trace(ctx);
-        for mode in [EnvelopeMode::Body, EnvelopeMode::Attachment, EnvelopeMode::Binary] {
+        for mode in [EnvelopeMode::Body, EnvelopeMode::Binary] {
             let decoded = Envelope::decode(&env.encode(mode)).unwrap();
             assert_eq!(decoded.trace, Some(ctx));
             assert_eq!(decoded, env);
@@ -351,12 +273,12 @@ mod tests {
 
     #[test]
     fn body_mode_grows_with_escaping() {
-        // Every '<' in the report doubles to '&lt;' etc., so the body
-        // encoding is strictly larger than the attachment encoding.
+        // Every '<' in the report grows to '&lt;' etc., so the body
+        // encoding is strictly larger than the raw-bytes binary frame.
         let env = sample();
         let body = env.encode(EnvelopeMode::Body).len();
-        let attach = env.encode(EnvelopeMode::Attachment).len();
-        assert!(body > attach, "body {body} should exceed attachment {attach}");
+        let binary = env.encode(EnvelopeMode::Binary).len();
+        assert!(body > binary, "body {body} should exceed binary {binary}");
     }
 
     #[test]
@@ -366,7 +288,7 @@ mod tests {
             .success()
             .unwrap();
         let env = Envelope::new("a=1".parse().unwrap(), report.to_xml());
-        for mode in [EnvelopeMode::Body, EnvelopeMode::Attachment, EnvelopeMode::Binary] {
+        for mode in [EnvelopeMode::Body, EnvelopeMode::Binary] {
             let decoded = Envelope::decode(&env.encode(mode)).unwrap();
             assert_eq!(decoded.report_xml, env.report_xml);
         }
@@ -380,17 +302,9 @@ mod tests {
     }
 
     #[test]
-    fn decode_rejects_length_mismatch() {
-        let env = sample();
-        let mut bytes = env.encode(EnvelopeMode::Attachment);
-        bytes.pop(); // truncate one byte of the attachment
-        assert!(matches!(Envelope::decode(&bytes), Err(WireError::Malformed(_))));
-    }
-
-    #[test]
     fn decode_rejects_invalid_inner_report() {
         let env = Envelope::new("a=1".parse().unwrap(), "<notAReport/>");
-        for mode in [EnvelopeMode::Body, EnvelopeMode::Attachment, EnvelopeMode::Binary] {
+        for mode in [EnvelopeMode::Body, EnvelopeMode::Binary] {
             assert!(matches!(
                 Envelope::decode(&env.encode(mode)),
                 Err(WireError::BadReport(_))

@@ -11,13 +11,13 @@
 //!    envelope-unpacking cost growing with report size. [`envelope`]
 //!    reproduces that interface: body mode escapes and embeds the
 //!    report (unpacking must unescape and re-parse it — the measured
-//!    cost), while attachment mode implements the paper's proposed
-//!    optimization of shipping the report as a raw attachment.
-//!    [`binframe`] goes one step further than the paper: a
-//!    length-prefixed binary section format whose decoder *borrows*
-//!    the report bytes out of the payload (zero copy), negotiated per
-//!    frame against the XML envelope by a magic byte no XML document
-//!    can start with ([`EnvelopeView::decode`] handles mixed traffic).
+//!    cost). [`binframe`] carries out the paper's proposed
+//!    optimization of shipping the report as raw bytes, and goes one
+//!    step further: a length-prefixed binary section format whose
+//!    decoder *borrows* the report bytes out of the payload (zero
+//!    copy), negotiated per frame against the XML envelope by a magic
+//!    byte no XML document can start with ([`EnvelopeView::decode`]
+//!    handles mixed traffic).
 //!
 //! [`allowlist`] implements the centralized controller's host check:
 //! "it checks the host against a list of hostnames to see whether it

@@ -10,6 +10,11 @@ cargo build --release
 echo "== tier-1: cargo test -q =="
 cargo test -q
 
+# Every target compiles, the Criterion benches under crates/bench/benches
+# included: `cargo test` builds no bench target.
+echo "== all targets: cargo check --workspace --all-targets =="
+cargo check --workspace --all-targets --offline
+
 # Every crate's own suite, so a red crate test cannot hide behind the
 # root-package tier-1 run.
 echo "== workspace: cargo test --workspace --no-fail-fast =="

@@ -108,14 +108,14 @@ fn failure_injection_reaches_status_page() {
 }
 
 #[test]
-fn attachment_mode_end_to_end() {
+fn binary_mode_end_to_end() {
     let (start, end) = hour_horizon();
     let mut deployment = teragrid_deployment(5, start, end);
     deployment.retain_resources(&["rachel.psc.edu"]);
     let outcome = SimRun::new(
         deployment,
         SimOptions {
-            envelope_mode: EnvelopeMode::Attachment,
+            envelope_mode: EnvelopeMode::Binary,
             verify_every_secs: None,
             ..Default::default()
         },

@@ -145,6 +145,15 @@ fn frontends_converge_byte_identical_under_connection_chaos() {
         reactor.duplicate_count() >= retransmissions / 2,
         "retransmissions of ingested seqs are absorbed by dedup, not re-inserted"
     );
+    // One ingest path: on both frontends every accepted report went
+    // through a depot batch, so the batch-size histogram accounts for
+    // each of them exactly once.
+    for (name, controller) in [("threaded", &threaded), ("reactor", &reactor)] {
+        let metrics = controller.obs().metrics();
+        let batched = metrics.histogram_of("inca_depot_batch_size", &[]).unwrap().sum();
+        let accepted = metrics.counter_value("inca_controller_accepted_total", &[]).unwrap();
+        assert_eq!(batched, accepted as f64, "{name}: batch sizes must sum to accepted");
+    }
 }
 
 #[test]
